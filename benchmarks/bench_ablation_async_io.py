@@ -59,7 +59,6 @@ def make_node(
         enable_io_pipeline=True,
         batch_commit_writes=True,
         io_concurrency=io_concurrency,
-        async_runtime=True,
     )
     node = AftNode(engine, config=config)
     node.start()

@@ -85,26 +85,19 @@ class AftConfig:
         commit record second, preserving the write-ordering invariant of
         Section 3.3 across the whole batch.
     group_commit_window:
-        How long, in seconds of real time, a group-commit leader waits for
-        further committers to join its batch before flushing.  ``0`` flushes
-        immediately (still coalescing any transactions already queued).
+        How long, in seconds of real time, an open group-commit batch waits
+        on the event loop for further committers to join before flushing (a
+        batch that fills to ``group_commit_max_txns`` flushes at once).
+        ``0`` makes every single commit a batch of one; ``commit_transactions``
+        coalesces its whole argument either way.
     group_commit_max_txns:
         Upper bound on the number of transactions coalesced into one
         group-commit flush; arrivals beyond it start the next batch.
     io_concurrency:
         Bound on concurrently in-flight request groups per IO-plan stage.
         Applied to the node's storage engines at construction; only engines
-        with real blocking IO (``wall_clock_io``) actually fan out — the
+        with real waiting IO (``wall_clock_io``) actually fan out — the
         simulated engines meter latency and stay sequential/deterministic.
-    async_runtime:
-        Declares that this deployment drives the node through the asyncio
-        entry points (``get_many_async`` / ``commit_transaction_async`` /
-        ``commit_transactions_async``), where stage fan-out runs on
-        ``asyncio.gather`` and the group-commit flush is an event-loop timer
-        instead of a leader thread.  The sync facade always remains
-        available; the discrete-event simulator ignores this flag (it is
-        single-threaded simulated time either way) but records it in the
-        experiment manifest.
     strict_reads:
         If True, ``get`` raises :class:`~repro.errors.AtomicReadError` when
         Algorithm 1 finds no compatible version; if False it returns ``None``
@@ -151,7 +144,6 @@ class AftConfig:
     group_commit_window: float = 0.0
     group_commit_max_txns: int = 8
     io_concurrency: int = 16
-    async_runtime: bool = False
     strict_reads: bool = False
     multicast_interval: float = 1.0
     prune_superseded_broadcasts: bool = True
@@ -204,7 +196,6 @@ class AftConfig:
             "group_commit_window": self.group_commit_window,
             "group_commit_max_txns": self.group_commit_max_txns,
             "io_concurrency": self.io_concurrency,
-            "async_runtime": self.async_runtime,
             "strict_reads": self.strict_reads,
             "multicast_interval": self.multicast_interval,
             "prune_superseded_broadcasts": self.prune_superseded_broadcasts,

@@ -9,39 +9,31 @@ invariant is preserved — conservatively strengthened, even: no commit record
 of the batch becomes durable before all data of the batch is durable, so a
 crash mid-flush can never expose a fractured read.
 
-The :class:`GroupCommitter` implements the classic leader-based protocol:
+The :class:`GroupCommitter` has two entry points, both coroutines:
 
-* A committing thread enqueues its :class:`PendingCommit`.  If no flush is in
-  progress it becomes the *leader*; otherwise it waits for a leader to flush
-  on its behalf.
-* The leader optionally waits up to ``window`` seconds for more committers to
-  arrive (bounded by ``max_txns`` per batch), drains the queue, and executes
-  one combined commit plan per batch.
-
-With a single caller the committer degenerates gracefully into the plain
-two-stage commit plan — batching is purely opportunistic.  The explicit
-:meth:`commit_batch` entry point lets deterministic callers (benchmarks, the
-simulator's preload, tests) coalesce a known set of transactions without
-relying on thread timing.
-
-:class:`AsyncGroupCommitter` is the event-loop counterpart used by the async
-node entry points: the first commit to open a batch schedules a flush task
-that sleeps the window on the loop (``asyncio.sleep``) instead of parking a
-leader thread, and the flush persists the batch through
-:func:`execute_commit_plan_async` so its stage fan-out shares the bounded IO
-executor with everything else.  Waiter cancellation never cancels the flush —
-the flush runs in its own task, so a client timing out mid-commit cannot
-abandon other members' durability.
+* :meth:`~GroupCommitter.commit_batch` is the deterministic path: callers
+  that already hold a set of commit-ready transactions (benchmarks, the
+  simulator's group-commit gate, tests) flush them in ``max_txns`` chunks,
+  awaited in order, with no timer and no shared batching state — so it can be
+  stepped inline over a metered engine.
+* :meth:`~GroupCommitter.commit` is the opportunistic path.  With a zero
+  window a commit is a batch of one, flushed on the spot.  With a positive
+  window the first commit opens a batch whose flush task waits on the event
+  loop until the window elapses *or the batch fills*, and later commits join
+  it; threads that commit through the node's sync facade rendezvous on the
+  runtime's loop (:func:`repro.runtime.drive`).  The flush runs in its own
+  task, so a member cancelled mid-commit (a client timeout) neither abandons
+  the other members' durability nor cancels their wait.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from repro import runtime
 from repro.core.commit_set import CommitRecord, CommitSetStore
 from repro.core.io_plan import IOPlan
 from repro.observability import trace as tr
@@ -54,20 +46,8 @@ def execute_commit_plan(
     data: Mapping[str, bytes],
     records: Mapping[str, bytes],
 ) -> None:
-    """Persist ``data`` then ``records`` with write ordering preserved (§3.3).
-
-    The single place that encodes the invariant for the pipelined path —
-    used by both the per-transaction commit and the group-commit flush.  When
-    data and records share an engine, one two-stage plan carries the ordering
-    in its stage barrier; with a separate metadata engine the sequential plan
-    executions provide it.
-    """
-    if commit_store.engine is storage:
-        storage.execute_plan(IOPlan.commit(data, records))
-    else:
-        if data:
-            storage.execute_plan(IOPlan.writes(data, name="data"))
-        commit_store.engine.execute_plan(IOPlan.writes(records, name="commit-records"))
+    """Sync facade: drive :func:`execute_commit_plan_async` to completion."""
+    runtime.drive(execute_commit_plan_async(storage, commit_store, data, records), storage)
 
 
 async def execute_commit_plan_async(
@@ -76,13 +56,15 @@ async def execute_commit_plan_async(
     data: Mapping[str, bytes],
     records: Mapping[str, bytes],
 ) -> None:
-    """Async twin of :func:`execute_commit_plan` — same §3.3 ordering.
+    """Persist ``data`` then ``records`` with write ordering preserved (§3.3).
 
-    The stage barrier inside ``execute_plan_async`` (stage two's gather only
-    starts after stage one's gather completed) carries the invariant; with a
-    separate metadata engine the sequential awaits do.  Cancellation between
-    the stages leaves data durable but no commit record — invisible garbage
-    for the GC, never a fractured read.
+    The single place that encodes the invariant for the pipelined path —
+    used by both the per-transaction commit and the group-commit flush.  When
+    data and records share an engine, one two-stage plan carries the ordering
+    in its stage barrier (stage two is only issued after every group of stage
+    one completed); with a separate metadata engine the sequential awaits do.
+    Cancellation between the stages leaves data durable but no commit record
+    — invisible garbage for the GC, never a fractured read.
     """
     if commit_store.engine is storage:
         await storage.execute_plan_async(IOPlan.commit(data, records))
@@ -117,15 +99,37 @@ class PendingCommit:
     #: Signalled once the flush containing this commit completed (or failed).
     done: threading.Event = field(default_factory=threading.Event)
     error: BaseException | None = None
-    #: Size of the flush batch this commit rode in (set by the leader).
+    #: Size of the flush batch this commit rode in (set by the flush).
     batch_size: int = 0
-    #: Trace context captured at enqueue, so the flush span (which runs on
-    #: the leader's thread / its own task) can join a member's trace.
+    #: Trace context captured at enqueue, so the flush span (which may run in
+    #: its own task) can join a member's trace.
     trace: "tr.TraceContext | None" = None
 
 
+class _OpenBatch:
+    """One open windowed batch: its members and what its flush task signals."""
+
+    __slots__ = ("members", "full", "flushed")
+
+    def __init__(self) -> None:
+        self.members: list[PendingCommit] = []
+        #: Set when the batch reaches ``max_txns``: flush now, not at the timer.
+        self.full = asyncio.Event()
+        #: Resolved once the flush task persisted (or failed) every member.
+        self.flushed: asyncio.Future[None] = asyncio.get_running_loop().create_future()
+
+
 class GroupCommitter:
-    """Coalesces concurrent commits on one node into shared storage batches."""
+    """Coalesces concurrent commits on one node into shared storage batches.
+
+    The open batch is only ever touched from the event loop its members run
+    on, with no ``await`` between checking it and appending to it, so the
+    batching itself needs no lock (all windowed commits of one node must
+    arrive on one loop).  Stats take one: flushes run on whichever thread
+    drives them.  Every member gets ``done`` / ``error`` / ``batch_size`` set
+    on its :class:`PendingCommit` whichever path flushed it, so callers share
+    their finalize logic.
+    """
 
     def __init__(
         self,
@@ -144,172 +148,7 @@ class GroupCommitter:
         #: Called after every flush with the batch size (used by the node to
         #: maintain its NodeStats counters under its own lock).
         self._on_flush = on_flush
-        self._lock = threading.Lock()
-        self._queue: list[PendingCommit] = []
-        self._leader_active = False
-        self._arrival = threading.Event()
-        self.stats = GroupCommitStats()
-
-    # ------------------------------------------------------------------ #
-    # Public entry points
-    # ------------------------------------------------------------------ #
-    def commit(self, pending: PendingCommit) -> PendingCommit:
-        """Submit one commit; returns once it is durable (or raises).
-
-        The calling thread either leads a flush (possibly carrying other
-        queued commits with it) or waits for the current leader to flush on
-        its behalf.
-        """
-        return self._submit([pending])[0]
-
-    def commit_batch(self, pendings: list[PendingCommit]) -> list[PendingCommit]:
-        """Submit several commits at once, guaranteeing they share batches.
-
-        This is the deterministic path: callers that already hold a set of
-        commit-ready transactions (the ablation benchmark, bulk loaders)
-        coalesce them without depending on concurrent arrival timing.
-        """
-        if not pendings:
-            return []
-        return self._submit(pendings)
-
-    # ------------------------------------------------------------------ #
-    # Leader/follower machinery
-    # ------------------------------------------------------------------ #
-    def _submit(self, pendings: list[PendingCommit]) -> list[PendingCommit]:
-        for pending in pendings:
-            if pending.trace is None:
-                pending.trace = tr.current_context()
-            tr.annotate("gc.enqueue", txid=pending.txid)
-        with self._lock:
-            self._queue.extend(pendings)
-            self._arrival.set()
-            is_leader = not self._leader_active
-            if is_leader:
-                self._leader_active = True
-        if is_leader:
-            self._wait_for_window()
-            self._run_leader()
-        else:
-            for pending in pendings:
-                pending.done.wait()
-        for pending in pendings:
-            if pending.error is not None:
-                raise pending.error
-        return pendings
-
-    def _wait_for_window(self) -> None:
-        """Give followers up to ``window`` seconds to join the first batch."""
-        if self.window <= 0:
-            return
-        deadline = time.monotonic() + self.window
-        while True:
-            with self._lock:
-                if len(self._queue) >= self.max_txns:
-                    return
-                self._arrival.clear()
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            self._arrival.wait(timeout=remaining)
-
-    def _run_leader(self) -> None:
-        """Flush batches until the queue is empty, then release leadership."""
-        while True:
-            with self._lock:
-                if not self._queue:
-                    # Leadership must be released in the same critical section
-                    # as the emptiness check, or a committer arriving between
-                    # the two would wait forever on a departed leader.
-                    self._leader_active = False
-                    return
-                batch = self._queue[: self.max_txns]
-                del self._queue[: self.max_txns]
-            try:
-                self._flush(batch)
-            except BaseException as exc:  # noqa: BLE001 - propagated per commit
-                for pending in batch:
-                    pending.error = exc
-            finally:
-                for pending in batch:
-                    pending.batch_size = len(batch)
-                    pending.done.set()
-
-    # ------------------------------------------------------------------ #
-    # Flushing
-    # ------------------------------------------------------------------ #
-    def _flush(self, batch: list[PendingCommit]) -> None:
-        """Persist one batch with the combined two-stage commit plan."""
-        data: dict[str, bytes] = {}
-        records: dict[str, bytes] = {}
-        for pending in batch:
-            # A fenced member poisons the whole batch: the leader cannot
-            # partially flush a combined plan, and a fenced node should not
-            # be leading flushes at all — the error propagates to every
-            # member, which retries on a live node.
-            self._commit_store.check_record_fence(pending.record)
-            data.update(pending.data)
-            records[self._commit_store.record_storage_key(pending.record.txid)] = (
-                pending.record.to_bytes()
-            )
-
-        # A shared flush belongs to every member; the span joins the first
-        # member's trace (the others keep causality via their enqueue spans).
-        with tr.span(
-            "gc.flush",
-            txid=batch[0].txid,
-            parent=batch[0].trace,
-            n_txns=len(batch),
-            n_keys=len(data),
-        ):
-            execute_commit_plan(self._storage, self._commit_store, data, records)
-
-        with self._lock:
-            self.stats.flushes += 1
-            self.stats.transactions_flushed += len(batch)
-            self.stats.largest_batch = max(self.stats.largest_batch, len(batch))
-        if self._on_flush is not None:
-            self._on_flush(len(batch))
-
-
-class _AsyncBatch:
-    """One open event-loop batch: its members and the future they await."""
-
-    __slots__ = ("members", "future")
-
-    def __init__(self, future: "asyncio.Future[None]") -> None:
-        self.members: list[PendingCommit] = []
-        self.future = future
-
-
-class AsyncGroupCommitter:
-    """Event-loop group commit: an ``asyncio.sleep`` timer replaces the leader.
-
-    All state transitions happen on the event loop with no ``await`` between
-    checking the open batch and appending to it, so no lock is needed for the
-    batching itself (stats still take one — they are shared with sync-side
-    readers).  The flush runs as its own task: member cancellation cannot
-    interrupt it, and each member still gets ``done`` / ``error`` /
-    ``batch_size`` set on its :class:`PendingCommit` exactly like the
-    threaded committer, so callers can share the finalize logic.
-    """
-
-    def __init__(
-        self,
-        storage: StorageEngine,
-        commit_store: CommitSetStore,
-        window: float = 0.0,
-        max_txns: int = 8,
-        on_flush: Callable[[int], None] | None = None,
-    ) -> None:
-        if max_txns < 1:
-            raise ValueError("group_commit_max_txns must be >= 1")
-        self._storage = storage
-        self._commit_store = commit_store
-        self.window = float(window)
-        self.max_txns = int(max_txns)
-        self._on_flush = on_flush
-        self._open: _AsyncBatch | None = None
+        self._open: _OpenBatch | None = None
         #: Strong references to in-flight flush tasks (the event loop only
         #: keeps weak ones; an unreferenced task may be garbage collected).
         self._flush_tasks: set[asyncio.Task] = set()
@@ -318,50 +157,85 @@ class AsyncGroupCommitter:
 
     async def commit(self, pending: PendingCommit) -> PendingCommit:
         """Submit one commit; returns once its batch flushed (or raises)."""
-        return (await self.commit_batch([pending]))[0]
-
-    async def commit_batch(self, pendings: list[PendingCommit]) -> list[PendingCommit]:
-        """Submit several commits, guaranteeing they share (chunked) batches."""
-        if not pendings:
-            return []
-        loop = asyncio.get_running_loop()
-        batches: list[_AsyncBatch] = []
-        for pending in pendings:
-            if pending.trace is None:
-                pending.trace = tr.current_context()
-            tr.annotate("gc.enqueue", txid=pending.txid)
+        self._enqueue(pending)
+        if self.window <= 0:
+            await self._flush([pending])
+        else:
             batch = self._open
-            if batch is None or len(batch.members) >= self.max_txns:
-                batch = _AsyncBatch(future=loop.create_future())
-                self._open = batch
-                task = loop.create_task(self._flush_after_window(batch))
+            if batch is None:
+                batch = self._open = _OpenBatch()
+                task = asyncio.create_task(self._flush_when_due(batch))
                 self._flush_tasks.add(task)
                 task.add_done_callback(self._flush_tasks.discard)
             batch.members.append(pending)
-            if not batches or batches[-1] is not batch:
-                batches.append(batch)
-        await asyncio.gather(*(batch.future for batch in batches))
+            if len(batch.members) >= self.max_txns:
+                # Sealed here, not by the flush task: the next arrival must
+                # open a new batch even if it lands before that task runs.
+                self._open = None
+                batch.full.set()
+            # Shielded: a cancelled member must not cancel the shared future.
+            await asyncio.shield(batch.flushed)
+        if pending.error is not None:
+            raise pending.error
+        return pending
+
+    async def commit_batch(self, pendings: list[PendingCommit]) -> list[PendingCommit]:
+        """Submit several commits at once, guaranteeing they share batches.
+
+        Chunks flush in order; a failed chunk fails only its own members (the
+        first error is raised after every chunk was attempted), so earlier
+        and later chunks stay durably committed.
+        """
+        for pending in pendings:
+            self._enqueue(pending)
+        for start in range(0, len(pendings), self.max_txns):
+            await self._flush(pendings[start : start + self.max_txns])
         for pending in pendings:
             if pending.error is not None:
                 raise pending.error
         return pendings
 
-    async def _flush_after_window(self, batch: _AsyncBatch) -> None:
-        """Flush task: wait the window, close the batch, persist it."""
-        if self.window > 0:
-            await asyncio.sleep(self.window)
+    @staticmethod
+    def _enqueue(pending: PendingCommit) -> None:
+        if pending.trace is None:
+            pending.trace = tr.current_context()
+        tr.annotate("gc.enqueue", txid=pending.txid)
+
+    async def _flush_when_due(self, batch: _OpenBatch) -> None:
+        """Flush task of a windowed batch: wait for the window or a full batch."""
+        try:
+            await asyncio.wait_for(batch.full.wait(), timeout=self.window)
+        except asyncio.TimeoutError:
+            pass
         if self._open is batch:
             self._open = None
-        members = batch.members
+        try:
+            await self._flush(batch.members)
+        finally:
+            batch.flushed.set_result(None)
+
+    async def _flush(self, members: list[PendingCommit]) -> None:
+        """Persist one batch with the combined two-stage commit plan.
+
+        Errors are recorded on every member rather than raised; only
+        cancellation (and other non-``Exception`` exits) propagates, so a
+        cancelled ``commit_batch`` stops issuing further chunks.
+        """
         try:
             data: dict[str, bytes] = {}
             records: dict[str, bytes] = {}
             for pending in members:
+                # A fenced member poisons the whole batch: a combined plan
+                # cannot be partially flushed, and a fenced node should not
+                # be flushing at all — the error propagates to every member,
+                # which retries on a live node.
                 self._commit_store.check_record_fence(pending.record)
                 data.update(pending.data)
                 records[self._commit_store.record_storage_key(pending.record.txid)] = (
                     pending.record.to_bytes()
                 )
+            # A shared flush belongs to every member; the span joins the first
+            # member's trace (the others keep causality via their enqueue).
             with tr.span(
                 "gc.flush",
                 txid=members[0].txid,
@@ -379,9 +253,9 @@ class AsyncGroupCommitter:
         except BaseException as exc:  # noqa: BLE001 - propagated per commit
             for pending in members:
                 pending.error = exc
+            if not isinstance(exc, Exception):
+                raise
         finally:
             for pending in members:
                 pending.batch_size = len(members)
                 pending.done.set()
-            if not batch.future.done():
-                batch.future.set_result(None)

@@ -13,10 +13,11 @@ previous stage has fully completed.  The two-stage commit plan —
 encodes the write-ordering invariant of Section 3.3 directly in the plan
 shape: no commit record is written until all data it references is durable.
 
-Plans are *executed* by :meth:`repro.storage.base.StorageEngine.execute_plan`,
-which maps each stage onto the backend's capabilities (native batching on
-DynamoDB and the in-memory engine, per-shard MSET/MGET on Redis, plain
-request fan-out on S3) and charges the attached
+Plans are *executed* by
+:meth:`repro.storage.base.StorageEngine.execute_plan_async` (``execute_plan``
+drives it for sync callers), which maps each stage onto the backend's
+capabilities (native batching on DynamoDB and the in-memory engine, per-shard
+MSET/MGET on Redis, plain request fan-out on S3) and charges the attached
 :class:`~repro.storage.base.CostLedger` with *per-stage* parallel latency
 rather than per-operation sequential latency.
 """

@@ -20,7 +20,6 @@ to its own storage key, so concurrent nodes never overwrite each other.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass, field
 
@@ -30,10 +29,8 @@ from repro.config import AftConfig, DEFAULT_CONFIG
 from repro.core.commit_set import CommitRecord, CommitSetStore
 from repro.core.data_cache import DataCache
 from repro.core.group_commit import (
-    AsyncGroupCommitter,
     GroupCommitter,
     PendingCommit,
-    execute_commit_plan,
     execute_commit_plan_async,
 )
 from repro.core.io_plan import IOPlan
@@ -107,8 +104,8 @@ class _ReadBatch:
     """Intermediate state of one ``get_many`` between planning and fetching.
 
     Everything Algorithm 1 decided under the node lock, captured so the
-    storage fetch — the only part that touches the network — can run either
-    synchronously or on the async core with identical semantics.
+    storage fetch — the only part that touches the network — is the only
+    part that awaits.
     """
 
     transaction: Transaction
@@ -186,9 +183,6 @@ class AftNode:
             max_txns=self.config.group_commit_max_txns,
             on_flush=self._record_group_flush,
         )
-        #: Event-loop counterpart, created lazily on first async commit (its
-        #: batch futures are loop-bound, so it cannot be built eagerly here).
-        self._async_group_committer: AsyncGroupCommitter | None = None
 
         self._id_generator = TransactionIdGenerator(self.clock)
         self._transactions: dict[str, Transaction] = {}
@@ -375,22 +369,26 @@ class AftNode:
             raise TransactionAbortedError(f"transaction {txid} was aborted", txid=txid)
         return transaction
 
+    def _drive(self, coro):
+        """Run one of this node's coroutines to completion for a sync caller.
+
+        A windowed group commit parks its members on a timer, so it needs an
+        event loop even over a metered engine; everything else follows the
+        engine (see :func:`repro.runtime.drive`).
+        """
+        windowed = self.config.enable_group_commit and self.config.group_commit_window > 0
+        return runtime.drive(coro, self.storage, needs_loop=windowed)
+
     def put(self, txid: str, key: str, value: bytes | str) -> None:
-        """Buffer an update for transaction ``txid`` (Table 1 ``Put``)."""
-        self._require_running()
-        validate_user_key(key)
-        if isinstance(value, str):
-            value = value.encode("utf-8")
-        with self._lock:
-            transaction = self._get_running(txid)
-            transaction.touch(self.clock.now())
-            transaction.record_write(key)
-            self.stats.writes += 1
-        provisional = TransactionId(timestamp=transaction.start_time, uuid=transaction.uuid)
-        self.write_buffer.put(txid, key, value, provisional_id=provisional)
+        """Sync facade: drive :meth:`put_async` to completion."""
+        return self._drive(self.put_async(txid, key, value))
 
     async def put_async(self, txid: str, key: str, value: bytes | str) -> None:
-        """Async twin of :meth:`put`: a threshold-triggered spill awaits its plan."""
+        """Buffer an update for transaction ``txid`` (Table 1 ``Put``).
+
+        Pure buffering unless the write pushes the transaction over the
+        spill threshold, in which case the spill's IO plan is awaited.
+        """
         self._require_running()
         validate_user_key(key)
         if isinstance(value, str):
@@ -404,6 +402,10 @@ class AftNode:
         await self.write_buffer.put_async(txid, key, value, provisional_id=provisional)
 
     def get(self, txid: str, key: str) -> bytes | None:
+        """Sync facade: drive :meth:`get_async` to completion."""
+        return self._drive(self.get_async(txid, key))
+
+    async def get_async(self, txid: str, key: str) -> bytes | None:
         """Read ``key`` within transaction ``txid`` (Table 1 ``Get``).
 
         Returns the payload of the chosen key version, or ``None`` when no
@@ -411,9 +413,13 @@ class AftNode:
         of Section 3.6) — unless ``strict_reads`` is configured, in which case
         :class:`~repro.errors.AtomicReadError` is raised.
         """
-        return self.get_many(txid, [key])[key]
+        return (await self.get_many_async(txid, [key]))[key]
 
     def get_many(self, txid: str, keys: list[str]) -> dict[str, bytes | None]:
+        """Sync facade: drive :meth:`get_many_async` to completion."""
+        return self._drive(self.get_many_async(txid, keys))
+
+    async def get_many_async(self, txid: str, keys: list[str]) -> dict[str, bytes | None]:
         """Read several keys within ``txid`` in one shim request.
 
         Algorithm 1 runs per key, in order, against a read set that grows
@@ -422,7 +428,10 @@ class AftNode:
         are fetched from storage in **one parallel plan stage** instead of
         one round trip per key (the batched half of the paper's Table 1 API;
         the pipeline of Section 3.3 applied to reads).  Duplicate keys
-        resolve to a single decision.
+        resolve to a single decision.  The fetch runs through
+        :meth:`~repro.storage.base.StorageEngine.execute_plan_async`, so
+        wall-clock backends overlap the fetches of concurrent client
+        coroutines instead of serialising them.
         """
         # Prepare is pure CPU (microseconds): it stays un-spanned so the hot
         # path pays one span per storage round trip; its duration is the
@@ -432,32 +441,10 @@ class AftNode:
             with tr.span(
                 "aft.read.fetch", txid=txid, n_keys=len(batch.to_fetch), n_requested=len(keys)
             ):
-                fetched = self._fetch_payloads(batch)
-        else:
-            fetched = {}
-        return self._finish_read_batch(txid, batch, fetched)
-
-    async def get_many_async(self, txid: str, keys: list[str]) -> dict[str, bytes | None]:
-        """Async twin of :meth:`get_many`.
-
-        Identical read protocol; the payload fetch runs through
-        :meth:`~repro.storage.base.StorageEngine.execute_plan_async`, so
-        wall-clock backends overlap the fetches of concurrent client
-        coroutines instead of serialising them on the calling thread.
-        """
-        batch = self._prepare_read_batch(txid, keys)
-        if batch.to_fetch:
-            with tr.span(
-                "aft.read.fetch", txid=txid, n_keys=len(batch.to_fetch), n_requested=len(keys)
-            ):
                 fetched = await self._fetch_payloads_async(batch)
         else:
             fetched = {}
         return self._finish_read_batch(txid, batch, fetched)
-
-    async def get_async(self, txid: str, key: str) -> bytes | None:
-        """Async twin of :meth:`get`."""
-        return (await self.get_many_async(txid, [key]))[key]
 
     def _prepare_read_batch(self, txid: str, keys: list[str]) -> _ReadBatch:
         """Run Algorithm 1 for the batch; everything up to the storage fetch."""
@@ -560,28 +547,8 @@ class AftNode:
             to_fetch=to_fetch,
         )
 
-    def _fetch_payloads(self, batch: _ReadBatch) -> dict[str, bytes | None]:
-        """Fetch the batch's undecided payloads from storage (sync facade)."""
-        if self.config.enable_io_pipeline:
-            if len(batch.to_fetch) > 1:
-                self.stats.bump_extra("batched_payload_fetches")
-            plan_values = self.storage.execute_plan(
-                IOPlan.reads(batch.to_fetch.values(), name="payload-fetch")
-            ).values
-        else:
-            plan_values = {
-                storage_key: self.storage.get(storage_key)
-                for storage_key in batch.to_fetch.values()
-            }
-        fetched = {
-            key: plan_values.get(storage_key) for key, storage_key in batch.to_fetch.items()
-        }
-        with self._lock:
-            self.stats.storage_value_reads += len(batch.to_fetch)
-        return fetched
-
     async def _fetch_payloads_async(self, batch: _ReadBatch) -> dict[str, bytes | None]:
-        """Fetch the batch's undecided payloads through the async IO core."""
+        """Fetch the batch's undecided payloads from storage."""
         if self.config.enable_io_pipeline:
             if len(batch.to_fetch) > 1:
                 self.stats.bump_extra("batched_payload_fetches")
@@ -591,19 +558,11 @@ class AftNode:
                 )
             ).values
         else:
-            # The sequential (pipeline-off) path, moved off the event loop so
-            # wall-clock point reads do not stall other coroutines.
-            loop = asyncio.get_running_loop()
-
-            def read_all() -> dict[str, bytes | None]:
-                return {
-                    storage_key: self.storage.get(storage_key)
-                    for storage_key in batch.to_fetch.values()
-                }
-
-            plan_values = await loop.run_in_executor(
-                runtime.io_executor(), runtime.marked(read_all)
-            )
+            # The sequential (pre-pipeline) path: one point read per key.
+            plan_values = {
+                storage_key: await self.storage.get_async(storage_key)
+                for storage_key in batch.to_fetch.values()
+            }
         fetched = {
             key: plan_values.get(storage_key) for key, storage_key in batch.to_fetch.items()
         }
@@ -654,6 +613,10 @@ class AftNode:
         return results
 
     def commit_transaction(self, txid: str) -> TransactionId:
+        """Sync facade: drive :meth:`commit_transaction_async` to completion."""
+        return self._drive(self.commit_transaction_async(txid))
+
+    async def commit_transaction_async(self, txid: str) -> TransactionId:
         """Commit ``txid``: persist its updates, then its commit record (§3.3).
 
         The call only returns after both the data and the commit record are
@@ -665,7 +628,11 @@ class AftNode:
         :class:`~repro.core.io_plan.IOPlan` (data fanned out in parallel,
         then the record); with ``enable_group_commit`` concurrent callers are
         additionally coalesced into a shared batch by the
-        :class:`~repro.core.group_commit.GroupCommitter`.
+        :class:`~repro.core.group_commit.GroupCommitter`.  If the caller is
+        cancelled (a client timeout) mid-persist, the stage barrier
+        guarantees the commit record was not yet issued: the transaction is
+        simply not committed, and its spilled/partial data is unreferenced
+        garbage for the GC — never a fractured read.
         """
         self._require_running()
         # Prepare is in-memory bookkeeping; only the persist round trip gets
@@ -682,16 +649,20 @@ class AftNode:
                 group=self.config.enable_group_commit,
             ):
                 if self.config.enable_group_commit:
-                    self.group_committer.commit(
+                    await self.group_committer.commit(
                         PendingCommit(txid=txid, record=prepared.record, data=prepared.to_persist)
                     )
                 else:
-                    self._persist_commit(prepared.to_persist, prepared.record)
+                    await self._persist_commit_async(prepared.to_persist, prepared.record)
 
         self._finalize_commit(prepared)
         return prepared.commit_id
 
     def commit_transactions(self, txids: list[str]) -> dict[str, TransactionId]:
+        """Sync facade: drive :meth:`commit_transactions_async` to completion."""
+        return self._drive(self.commit_transactions_async(txids))
+
+    async def commit_transactions_async(self, txids: list[str]) -> dict[str, TransactionId]:
         """Commit several open transactions as one group-commit batch.
 
         The deterministic group-commit entry point: all transactions' data is
@@ -732,7 +703,7 @@ class AftNode:
 
         error: BaseException | None = None
         try:
-            self.group_committer.commit_batch([pending for _, pending in batch])
+            await self.group_committer.commit_batch([pending for _, pending in batch])
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             error = exc
         finally:
@@ -754,133 +725,32 @@ class AftNode:
             raise error
         return results
 
-    # ------------------------------------------------------------------ #
-    # Async commit path
-    # ------------------------------------------------------------------ #
-    def _get_async_group_committer(self) -> AsyncGroupCommitter:
-        committer = self._async_group_committer
-        if committer is None:
-            committer = AsyncGroupCommitter(
-                storage=self.storage,
-                commit_store=self.commit_store,
-                window=self.config.group_commit_window,
-                max_txns=self.config.group_commit_max_txns,
-                on_flush=self._record_group_flush,
-            )
-            self._async_group_committer = committer
-        return committer
-
-    async def commit_transaction_async(self, txid: str) -> TransactionId:
-        """Async twin of :meth:`commit_transaction` (§3.3 ordering intact).
-
-        The data/record stages run through the async IO core; with
-        ``enable_group_commit`` concurrent coroutines coalesce through the
-        :class:`~repro.core.group_commit.AsyncGroupCommitter`, whose flush is
-        an event-loop timer rather than a parked leader thread.  If the
-        caller is cancelled (a client timeout) mid-persist, the stage barrier
-        guarantees the commit record was not yet issued: the transaction is
-        simply not committed, and its spilled/partial data is unreferenced
-        garbage for the GC — never a fractured read.
-        """
-        self._require_running()
-        # Prepare is in-memory bookkeeping; only the persist round trip gets
-        # a span (prepare time = enclosing span minus persist).
-        prepared = self._prepare_commit(txid)
-        if prepared.already_committed is not None:
-            return prepared.already_committed
-
-        if prepared.record is not None:
-            with tr.span(
-                "aft.commit.persist",
-                txid=txid,
-                n_keys=len(prepared.to_persist),
-                group=self.config.enable_group_commit,
-            ):
-                if self.config.enable_group_commit:
-                    await self._get_async_group_committer().commit(
-                        PendingCommit(txid=txid, record=prepared.record, data=prepared.to_persist)
-                    )
-                else:
-                    await self._persist_commit_async(prepared.to_persist, prepared.record)
-
-        self._finalize_commit(prepared)
-        return prepared.commit_id
-
-    async def commit_transactions_async(self, txids: list[str]) -> dict[str, TransactionId]:
-        """Async twin of :meth:`commit_transactions` — same batch semantics.
-
-        Prepared members flush through the async committer; members of
-        chunks that were durably flushed before another chunk failed are
-        finalized and reported via ``partial_commit_results`` exactly like
-        the sync path.
-        """
-        self._require_running()
-        results: dict[str, TransactionId] = {}
-        batch: list[tuple[_PreparedCommit, PendingCommit]] = []
-        prepare_error: BaseException | None = None
-        for txid in dict.fromkeys(txids):
-            try:
-                prepared = self._prepare_commit(txid)
-            except (UnknownTransactionError, TransactionAbortedError) as exc:
-                if prepare_error is None:
-                    prepare_error = exc
-                continue
-            if prepared.already_committed is not None:
-                results[txid] = prepared.already_committed
-                continue
-            if prepared.record is None:
-                self._finalize_commit(prepared)
-                results[txid] = prepared.commit_id
-                continue
-            batch.append(
-                (prepared, PendingCommit(txid=txid, record=prepared.record, data=prepared.to_persist))
-            )
-
-        error: BaseException | None = None
-        try:
-            await self._get_async_group_committer().commit_batch(
-                [pending for _, pending in batch]
-            )
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            error = exc
-        finally:
-            for prepared, pending in batch:
-                if pending.done.is_set() and pending.error is None:
-                    self._finalize_commit(prepared)
-                    results[prepared.txid] = prepared.commit_id
-        if error is None:
-            error = prepare_error
-        if error is not None:
-            error.partial_commit_results = dict(results)  # type: ignore[attr-defined]
-            raise error
-        return results
-
     async def _persist_commit_async(
         self, to_persist: dict[str, bytes], record: CommitRecord
     ) -> None:
-        """Async twin of :meth:`_persist_commit` — same §3.3 two-step shape."""
+        """Persist one transaction's data, then its commit record (§3.3).
+
+        Step 1 pushes the data (batched/parallel when the engine allows);
+        only after it completes does step 2 write the commit record — a crash
+        between the two leaves no visible state, just unreferenced keys for
+        the garbage collector.  ``batch_commit_writes=False`` forces the
+        legacy one-request-at-a-time data push even when the pipeline is on,
+        so the Section 6.1.1 batching ablation still isolates that effect.
+        """
+        # Fencing gate: a node declared failed after preparing this commit
+        # carries a stale epoch stamp and must not make the record durable.
         self.commit_store.check_record_fence(record)
+        record_key = self.commit_store.record_storage_key(record.txid)
         if self.config.enable_io_pipeline and self.config.batch_commit_writes:
             await execute_commit_plan_async(
-                self.storage,
-                self.commit_store,
-                to_persist,
-                {self.commit_store.record_storage_key(record.txid): record.to_bytes()},
+                self.storage, self.commit_store, to_persist, {record_key: record.to_bytes()}
             )
         else:
-            # The legacy sequential path, kept off the event loop; ordering
-            # holds because the record write only runs after the executor
-            # call persisting the data returned.
-            loop = asyncio.get_running_loop()
+            # Sequential: the record write is only issued after every data
+            # write returned.
             if to_persist:
-                await loop.run_in_executor(
-                    runtime.io_executor(),
-                    runtime.marked(lambda: self._persist_updates(to_persist)),
-                )
-            await loop.run_in_executor(
-                runtime.io_executor(),
-                runtime.marked(lambda: self.commit_store.write_record(record)),
-            )
+                await self._persist_updates_async(to_persist)
+            await self.commit_store.engine.put_async(record_key, record.to_bytes())
 
     def _prepare_commit(self, txid: str) -> "_PreparedCommit":
         """Assign a commit id and split the write set into spilled/unspilled."""
@@ -929,31 +799,6 @@ class AftNode:
             record=record,
         )
 
-    def _persist_commit(self, to_persist: dict[str, bytes], record: CommitRecord) -> None:
-        """Persist one transaction's data, then its commit record (§3.3).
-
-        Step 1 pushes the data (batched/parallel when the engine allows);
-        only after it completes does step 2 write the commit record — a crash
-        between the two leaves no visible state, just unreferenced keys for
-        the garbage collector.  ``batch_commit_writes=False`` forces the
-        legacy one-request-at-a-time data push even when the pipeline is on,
-        so the Section 6.1.1 batching ablation still isolates that effect.
-        """
-        # Fencing gate: a node declared failed after preparing this commit
-        # carries a stale epoch stamp and must not make the record durable.
-        self.commit_store.check_record_fence(record)
-        if self.config.enable_io_pipeline and self.config.batch_commit_writes:
-            execute_commit_plan(
-                self.storage,
-                self.commit_store,
-                to_persist,
-                {self.commit_store.record_storage_key(record.txid): record.to_bytes()},
-            )
-        else:
-            if to_persist:
-                self._persist_updates(to_persist)
-            self.commit_store.write_record(record)
-
     def _finalize_commit(self, prepared: "_PreparedCommit") -> None:
         """Make a durably-committed transaction visible locally (step 3)."""
         with self._lock:
@@ -976,17 +821,16 @@ class AftNode:
             self.stats.group_commits += 1
             self.stats.group_commit_batched_txns += batch_size
 
-    def _persist_updates(self, updates: dict[str, bytes]) -> None:
+    async def _persist_updates_async(self, updates: dict[str, bytes]) -> None:
         """Write key versions to storage sequentially (the pre-pipeline path)."""
         if self.config.batch_commit_writes and self.storage.supports_batch_writes:
             batch_limit = self.storage.max_batch_size or len(updates)
             items = list(updates.items())
             for start in range(0, len(items), batch_limit):
-                chunk = dict(items[start : start + batch_limit])
-                self.storage.multi_put(chunk)
+                await self.storage.multi_put_async(dict(items[start : start + batch_limit]))
         else:
             for storage_key, value in updates.items():
-                self.storage.put(storage_key, value)
+                await self.storage.put_async(storage_key, value)
 
     def abort_transaction(self, txid: str) -> None:
         """Abort ``txid`` and discard its buffered updates (Table 1)."""

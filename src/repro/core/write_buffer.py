@@ -16,7 +16,6 @@ keys are removed by garbage collection.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from dataclasses import dataclass, field
 
@@ -97,32 +96,26 @@ class AtomicWriteBuffer:
     # Buffered operations
     # ------------------------------------------------------------------ #
     def put(self, uuid: str, key: str, value: bytes, provisional_id: TransactionId | None = None) -> None:
-        """Buffer an update, spilling to storage if over the threshold."""
-        if self._buffer_update(uuid, key, value, provisional_id):
-            self.spill(uuid, provisional_id)
+        """Sync facade: drive :meth:`put_async` to completion."""
+        runtime.drive(self.put_async(uuid, key, value, provisional_id), self._storage)
 
     async def put_async(
         self, uuid: str, key: str, value: bytes, provisional_id: TransactionId | None = None
     ) -> None:
-        """Async twin of :meth:`put`: a triggered spill awaits the IO plan."""
-        if self._buffer_update(uuid, key, value, provisional_id):
-            await self.spill_async(uuid, provisional_id)
-
-    def _buffer_update(
-        self, uuid: str, key: str, value: bytes, provisional_id: TransactionId | None
-    ) -> bool:
-        """Record the update under the lock; return whether to spill now."""
+        """Buffer an update, spilling to storage if over the threshold."""
         with self._lock:
             buffer = self._buffers.get(uuid)
             if buffer is None:
                 raise UnknownTransactionError(f"no open write buffer for transaction {uuid!r}", txid=uuid)
             buffer.put(key, value)
-            return (
+            over_threshold = (
                 self.spill_threshold_bytes is not None
                 and self._storage is not None
                 and provisional_id is not None
                 and buffer.buffered_bytes > self.spill_threshold_bytes
             )
+        if over_threshold:
+            await self.spill_async(uuid, provisional_id)
 
     def get(self, uuid: str, key: str) -> bytes | None:
         """Return the transaction's own pending value for ``key``, if any.
@@ -172,6 +165,10 @@ class AtomicWriteBuffer:
     # Spilling
     # ------------------------------------------------------------------ #
     def spill(self, uuid: str, provisional_id: TransactionId) -> list[str]:
+        """Sync facade: drive :meth:`spill_async` to completion."""
+        return runtime.drive(self.spill_async(uuid, provisional_id), self._storage)
+
+    async def spill_async(self, uuid: str, provisional_id: TransactionId) -> list[str]:
         """Proactively persist the transaction's buffered values.
 
         Values are written under the storage keys derived from
@@ -179,40 +176,6 @@ class AtomicWriteBuffer:
         keys in the commit record, so spilled data need not be rewritten.
         Returns the storage keys written.
         """
-        to_spill, items = self._collect_spill(uuid, provisional_id)
-        if self.use_plans and items:
-            self._storage.execute_plan(IOPlan.writes(items, name="spill"))
-        else:
-            for storage_key, value in items.items():
-                self._storage.put(storage_key, value)
-        return self._mark_spilled(uuid, to_spill, provisional_id, list(items))
-
-    async def spill_async(self, uuid: str, provisional_id: TransactionId) -> list[str]:
-        """Async twin of :meth:`spill`: the one-stage plan runs on the async core.
-
-        Same overwrite-aware bookkeeping — a value replaced while its spill
-        was in flight is simply spilled again later.
-        """
-        to_spill, items = self._collect_spill(uuid, provisional_id)
-        if items:
-            if self.use_plans:
-                await self._storage.execute_plan_async(IOPlan.writes(items, name="spill"))
-            else:
-                # The sequential (pre-pipeline) spill path, kept off the event
-                # loop so wall-clock engines do not stall it.
-                loop = asyncio.get_running_loop()
-
-                def write_all() -> None:
-                    for storage_key, value in items.items():
-                        self._storage.put(storage_key, value)
-
-                await loop.run_in_executor(runtime.io_executor(), runtime.marked(write_all))
-        return self._mark_spilled(uuid, to_spill, provisional_id, list(items))
-
-    def _collect_spill(
-        self, uuid: str, provisional_id: TransactionId
-    ) -> tuple[dict[str, BufferedWrite], dict[str, bytes]]:
-        """Snapshot the not-yet-spilled writes and their storage items."""
         if self._storage is None:
             raise RuntimeError("AtomicWriteBuffer was constructed without a storage engine; cannot spill")
         with self._lock:
@@ -223,31 +186,25 @@ class AtomicWriteBuffer:
                 key: write for key, write in buffer.writes.items() if write.spilled_to is None
             }
         items = {data_key(key, provisional_id): write.value for key, write in to_spill.items()}
-        return to_spill, items
-
-    def _mark_spilled(
-        self,
-        uuid: str,
-        to_spill: dict[str, BufferedWrite],
-        provisional_id: TransactionId,
-        written: list[str],
-    ) -> list[str]:
-        """Record which spilled writes are now durable (overwrite-aware)."""
+        if self.use_plans and items:
+            await self._storage.execute_plan_async(IOPlan.writes(items, name="spill"))
+        else:
+            # The sequential (pre-pipeline) spill: one point write per key.
+            for storage_key, value in items.items():
+                await self._storage.put_async(storage_key, value)
         with self._lock:
             buffer = self._buffers.get(uuid)
-            if buffer is None:
-                return written
-            for key, write in to_spill.items():
-                current = buffer.writes.get(key)
-                # Only mark as spilled if the value was not overwritten while
-                # we were persisting it (the overwrite must be spilled again).
-                if current is write:
-                    storage_key = data_key(key, provisional_id)
-                    current.spilled_to = storage_key
-                    buffer.spilled_keys.append(storage_key)
-        if written:
+            if buffer is not None:
+                for key, write in to_spill.items():
+                    # Only mark as spilled if the value was not overwritten
+                    # while we were persisting it (the overwrite is simply
+                    # spilled again later).
+                    if buffer.writes.get(key) is write:
+                        write.spilled_to = data_key(key, provisional_id)
+                        buffer.spilled_keys.append(write.spilled_to)
+        if items:
             self.spills += 1
-        return written
+        return list(items)
 
     def spilled_keys(self, uuid: str) -> dict[str, str]:
         """Mapping of user key -> storage key for already-spilled values."""

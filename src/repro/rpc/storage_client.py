@@ -24,10 +24,10 @@ submission machinery (`_submit`, the coalescer) never accounts.  Nothing is
 double-counted whichever path an op takes.
 
 The sync :class:`~repro.storage.base.StorageEngine` methods remain usable
-*off* the event loop (they bridge with ``run_coroutine_threadsafe``), which
-is how ``AftNode.bootstrap`` — a sync commit-set scan — runs in a worker
-thread during node warm-up.  Calling them *on* the loop thread raises
-instead of deadlocking.
+*off* the event loop (:func:`repro.runtime.drive` runs their coroutine on the
+connection's loop and blocks the caller), which is how ``AftNode.bootstrap``
+— a sync commit-set scan — runs in a worker thread during node warm-up.
+Calling them *on* the loop thread raises instead of deadlocking.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 from typing import Iterable, Mapping
 
+from repro import runtime
 from repro.errors import StorageError
 from repro.observability import trace as tr
 from repro.rpc import messages as m
@@ -136,14 +137,15 @@ class RemoteStorage(StorageEngine):
     def __init__(
         self,
         conn: RpcConnection,
-        loop: asyncio.AbstractEventLoop | None = None,
+        loop: asyncio.AbstractEventLoop,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
         coalesce_window: float = 0.0,
         coalesce_max_ops: int = 128,
     ) -> None:
         super().__init__()
         self._conn = conn
-        self._loop = loop if loop is not None else asyncio.get_event_loop()
+        #: The loop ``conn`` lives on; sync callers are driven there.
+        self.loop = loop
         #: Socket round-trip budget per storage op / batch.
         self.request_timeout: float | None = request_timeout
         self._coalescer = _OpCoalescer(conn, self, coalesce_window, coalesce_max_ops)
@@ -192,20 +194,6 @@ class RemoteStorage(StorageEngine):
             raise
         except Exception as exc:
             return StorageOpResult(error=exc)
-
-    def _bridge(self, coro):
-        """Run an async op from sync code (must be off the event loop)."""
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is self._loop:
-            coro.close()
-            raise StorageError(
-                "sync RemoteStorage call on the event loop thread would deadlock; "
-                "use the *_async twins (or call from a worker thread)"
-            )
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     # ------------------------------------------------------------------ #
     # Accounting (stats + metered latency), one call per completed op
@@ -256,8 +244,6 @@ class RemoteStorage(StorageEngine):
     # Storage-op groups: one wire frame per plan stage (plus stowaways)
     # ------------------------------------------------------------------ #
     async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
-        if not self.supports_storage_batches:
-            return await super().execute_group_async(ops)
         results = list(await asyncio.gather(*self._coalescer.submit_many(ops)))
         for op, result in zip(ops, results):
             if result.error is None:
@@ -332,22 +318,22 @@ class RemoteStorage(StorageEngine):
     # Sync facade (worker threads only)
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> bytes | None:
-        return self._bridge(self.get_async(key))
+        return runtime.drive(self.get_async(key), self)
 
     def put(self, key: str, value: bytes) -> None:
-        self._bridge(self.put_async(key, value))
+        runtime.drive(self.put_async(key, value), self)
 
     def delete(self, key: str) -> None:
-        self._bridge(self.delete_async(key))
+        runtime.drive(self.delete_async(key), self)
 
     def list_keys(self, prefix: str = "") -> list[str]:
-        return self._bridge(self.list_keys_async(prefix))
+        return runtime.drive(self.list_keys_async(prefix), self)
 
     def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
-        return self._bridge(self.multi_get_async(list(keys)))
+        return runtime.drive(self.multi_get_async(list(keys)), self)
 
     def multi_put(self, items: Mapping[str, bytes]) -> None:
-        self._bridge(self.multi_put_async(dict(items)))
+        runtime.drive(self.multi_put_async(dict(items)), self)
 
     def multi_delete(self, keys: Iterable[str]) -> None:
-        self._bridge(self.multi_delete_async(list(keys)))
+        runtime.drive(self.multi_delete_async(list(keys)), self)

@@ -1,23 +1,33 @@
-"""The shared IO runtime: one bounded executor for all blocking storage work.
+"""The shared IO runtime: one driver for sync callers, one bounded executor.
 
-The async hot path (``StorageEngine.execute_plan_async`` and the ``*_async``
-node entry points) fans request groups out with ``asyncio.gather``, but the
-storage engines themselves expose blocking calls — real backends block on
-sockets, :class:`~repro.storage.latency_injected.LatencyInjectedStorage`
-blocks on ``time.sleep``.  Those blocking calls run on the process-wide
-executor owned by this module, so the total number of in-flight storage
-requests is bounded no matter how many plans, nodes, or event loops are
-active at once.
+Every protocol in this repo — Algorithm 1's read, the data-before-record
+commit, spill, group commit, IO-plan execution — is written once, as a
+coroutine.  Sync callers (the simulator, the in-process cluster's threads,
+most unit tests) reach those coroutines through :func:`drive`, which picks how
+to run one from what it can observe:
 
-The same executor backs the *sync facade*: ``execute_plan`` dispatches a
-stage's request groups here when the engine declares ``wall_clock_io`` (see
-:mod:`repro.storage.base`), and the fault manager's parallel per-shard
-recovery replay runs through :func:`run_blocking_group` instead of spinning
-up a private ``ThreadPoolExecutor`` per recovery.
+* over a **metered** engine (``wall_clock_io`` False: latency is sampled and
+  charged, never waited for) the coroutine never suspends, so it is stepped to
+  completion inline on the calling thread.  No loop exists, no thread is
+  hopped, the caller's ``contextvars`` (the ``metered`` ledger, the ambient
+  trace span) are simply in scope, and seeded latency sampling keeps its
+  issue order.
+* over a **wall-clock** engine the coroutine really waits, so it runs on an
+  event loop: the loop the engine's connection lives on when it has one
+  (:class:`~repro.rpc.storage_client.RemoteStorage`), otherwise the one loop
+  thread this module owns.  The caller's context is copied into the task and
+  the calling thread blocks for the result.
+
+Blocking engine calls (real backends block on sockets,
+:class:`~repro.storage.latency_injected.LatencyInjectedStorage` on
+``time.sleep``) run on the process-wide executor owned by this module, so the
+number of in-flight storage requests is bounded no matter how many plans,
+nodes, or event loops are active.  The fault manager's parallel per-shard
+recovery replay shares it through :func:`run_blocking_group`.
 
 Re-entrancy: work submitted to the executor is marked with a thread-local
 flag.  Code that would otherwise dispatch *more* work to the executor (a
-nested plan execution inside a recovery replay, say) detects the flag via
+plan execution inside a recovery replay, say) detects the flag via
 :func:`in_io_worker` and runs inline instead — the classic nested-pool
 deadlock (all workers blocked waiting for queue slots that only workers can
 free) cannot occur.
@@ -25,10 +35,11 @@ free) cannot occur.
 
 from __future__ import annotations
 
+import asyncio
 import contextvars
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Coroutine, Sequence
 
 #: Default bound on concurrently executing storage requests.  Mirrors the
 #: default of :attr:`repro.config.AftConfig.io_concurrency`.
@@ -37,8 +48,64 @@ DEFAULT_IO_CONCURRENCY = 16
 _lock = threading.Lock()
 _executor: ThreadPoolExecutor | None = None
 _executor_size = DEFAULT_IO_CONCURRENCY
+_loop: asyncio.AbstractEventLoop | None = None
 
 _worker_state = threading.local()
+
+
+def event_loop() -> asyncio.AbstractEventLoop:
+    """Return the runtime-owned event loop (its thread starts on first use)."""
+    global _loop
+    with _lock:
+        if _loop is None:
+            _loop = asyncio.new_event_loop()
+            threading.Thread(target=_loop.run_forever, name="aft-loop", daemon=True).start()
+        return _loop
+
+
+def drive(coro: Coroutine[Any, Any, Any], engine: Any = None, needs_loop: bool = False) -> Any:
+    """Run ``coro`` to completion for a sync caller and return its result.
+
+    ``engine`` is the storage engine the coroutine does its IO against
+    (``None``: it does none).  ``needs_loop`` marks a coroutine that waits on
+    a timer even over a metered engine (a windowed group commit).  See the
+    module docstring for how the mode is picked.
+    """
+    if not needs_loop and (engine is None or not engine.wall_clock_io):
+        try:
+            coro.send(None)
+        except StopIteration as stop:
+            return stop.value
+        coro.close()
+        raise RuntimeError(
+            "a coroutine driven inline suspended: metered engines must not await real IO"
+        )
+    loop = getattr(engine, "loop", None)
+    if loop is None:
+        if in_io_worker():
+            # An executor worker must not wait on a loop whose fan-out needs
+            # executor slots; a private loop keeps the whole plan on this
+            # thread (``execute_plan_async`` sees the worker flag).
+            return asyncio.run(coro)
+        loop = event_loop()
+    try:
+        running = asyncio.get_running_loop()
+    except RuntimeError:
+        running = None
+    if running is loop:
+        coro.close()
+        raise RuntimeError(
+            "sync facade called on the event loop it would block; "
+            "await the *_async coroutine instead (or call from another thread)"
+        )
+    context = contextvars.copy_context()
+
+    async def in_caller_context() -> Any:
+        # The task runs in (a copy of) the sync caller's context, so the
+        # ``metered`` ledger and the ambient span follow it onto the loop.
+        return await loop.create_task(coro, context=context)
+
+    return asyncio.run_coroutine_threadsafe(in_caller_context(), loop).result()
 
 
 def io_executor() -> ThreadPoolExecutor:

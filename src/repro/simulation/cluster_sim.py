@@ -293,11 +293,6 @@ class DeploymentSpec:
     #: describes a real router-fronted deployment faithfully.  ``None``
     #: keeps the AftConfig default.
     storage_request_timeout: float | None = None
-    #: Declare that the described deployment drives nodes through the async
-    #: entry points (``*_async``).  The simulator itself stays synchronous —
-    #: virtual time needs no wall-clock overlap — but the knob is recorded on
-    #: the node config so spec round-trips are faithful.
-    async_runtime: bool = False
     #: Metadata-plane strategies — the commit-stream transport ("direct" |
     #: "sharded"), the failure detector ("polling" | "lease"), and the
     #: commit-record keyspace ("flat" | "partitioned") — selected by one
@@ -480,7 +475,6 @@ def run_deployment(spec: DeploymentSpec) -> DeploymentResult:
             io_concurrency=(
                 spec.io_concurrency if spec.io_concurrency is not None else AftConfig.io_concurrency
             ),
-            async_runtime=spec.async_runtime,
             storage_request_timeout=(
                 spec.storage_request_timeout
                 if spec.storage_request_timeout is not None

@@ -228,7 +228,8 @@ class StorageEngine(ABC):
     #: (network sockets, injected sleeps).  The simulated engines meter their
     #: latency instead of sleeping, so they leave this False and keep the
     #: deterministic sequential issue order; wall-clock engines opt into the
-    #: concurrent fan-out of ``execute_plan`` / ``execute_plan_async``.
+    #: concurrent fan-out of ``execute_plan_async`` and have their sync
+    #: callers driven on an event loop (:func:`repro.runtime.drive`).
     wall_clock_io: bool = False
     #: Whether the engine's IO is natively non-blocking (its ``*_async``
     #: operation twins await real IO instead of wrapping the sync methods).
@@ -239,15 +240,19 @@ class StorageEngine(ABC):
     #: ``wall_clock_io``; metered engines stay sequential either way.
     supports_native_async: bool = False
     #: Whether the engine executes a whole request *group* as one unit when
-    #: handed a list of :class:`StorageOp` descriptors.  Remote engines remap
-    #: the group onto a single ``storage_batch`` wire frame; for everything
-    #: else the default :meth:`execute_group_async` is just a bounded gather
-    #: over the ``*_async`` twins and this flag stays False.
+    #: handed a list of :class:`StorageOp` descriptors
+    #: (:meth:`execute_group_async`).  Remote engines remap the group onto a
+    #: single ``storage_batch`` wire frame; for everything else this flag
+    #: stays False.
     supports_storage_batches: bool = False
     #: Per-engine bound on concurrently issued request groups within one plan
     #: stage.  ``None`` falls back to the shared runtime default; nodes set it
     #: from :attr:`repro.config.AftConfig.io_concurrency`.
     io_concurrency: int | None = None
+    #: Event loop the engine's connections are bound to.  ``None`` (every
+    #: engine without sockets of its own) lets :func:`repro.runtime.drive`
+    #: run sync callers' coroutines on the runtime-owned loop.
+    loop: asyncio.AbstractEventLoop | None = None
 
     def __init__(self, latency_model: LatencyModel | None = None, clock: Clock | None = None) -> None:
         self.latency_model = latency_model if latency_model is not None else ZeroLatency()
@@ -363,50 +368,14 @@ class StorageEngine(ABC):
     # Storage-op groups (descriptor form of a plan stage)
     # ------------------------------------------------------------------ #
     async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
-        """Execute a group of ops, returning one result per op, in order.
+        """Execute a group of ops as one request, one result per op, in order.
 
-        Exceptions are captured per op (never raised) so callers can fail
-        exactly the waiter whose op failed.  The default implementation is a
-        semaphore-bounded gather over the ``*_async`` twins; engines with
-        ``supports_storage_batches`` override it to execute the whole group
-        as a single request.
+        Only engines declaring ``supports_storage_batches`` implement this
+        (everything else has its plan stages issued group by group, see
+        :meth:`execute_plan_async`).  Exceptions are captured per op, never
+        raised, so callers can fail exactly the waiter whose op failed.
         """
-        if len(ops) == 1:
-            return [await self._apply_op_async(ops[0])]
-        limit = asyncio.Semaphore(self.effective_io_concurrency)
-
-        async def run_one(op: StorageOp) -> StorageOpResult:
-            async with limit:
-                return await self._apply_op_async(op)
-
-        return list(await asyncio.gather(*(run_one(op) for op in ops)))
-
-    async def _apply_op_async(self, op: StorageOp) -> StorageOpResult:
-        """Apply one descriptor via the ``*_async`` twins, capturing errors."""
-        try:
-            if op.op == "get":
-                key = op.keys[0]
-                return StorageOpResult(values={key: await self.get_async(key)})
-            if op.op == "multi_get":
-                return StorageOpResult(values=dict(await self.multi_get_async(list(op.keys))))
-            if op.op == "put":
-                key = op.keys[0]
-                await self.put_async(key, (op.items or {})[key])
-                return StorageOpResult()
-            if op.op == "multi_put":
-                await self.multi_put_async(op.items or {})
-                return StorageOpResult()
-            if op.op == "multi_delete":
-                await self.multi_delete_async(list(op.keys))
-                return StorageOpResult()
-            if op.op == "list":
-                lister = getattr(self, "list_keys_async", None)
-                if lister is not None:
-                    return StorageOpResult(keys=list(await lister(op.prefix)))
-                return StorageOpResult(keys=self.list_keys(op.prefix))
-            raise ValueError(f"unknown storage op {op.op!r}")
-        except Exception as exc:
-            return StorageOpResult(error=exc)
+        raise NotImplementedError(f"{type(self).__name__} does not execute storage-op groups")
 
     def _stage_ops(self, stage: "IOStage") -> list[StorageOp]:
         """Descriptor form of :meth:`_stage_groups`: one ``StorageOp`` per group."""
@@ -461,6 +430,10 @@ class StorageEngine(ABC):
         return runtime.io_executor_size()
 
     def execute_plan(self, plan: "IOPlan") -> "PlanResult":
+        """Sync facade: drive :meth:`execute_plan_async` to completion."""
+        return runtime.drive(self.execute_plan_async(plan), self)
+
+    async def execute_plan_async(self, plan: "IOPlan") -> "PlanResult":
         """Execute an :class:`~repro.core.io_plan.IOPlan` against this engine.
 
         Each stage's operations are partitioned into *request groups* by the
@@ -468,77 +441,31 @@ class StorageEngine(ABC):
         :meth:`_plan_get_groups`): a group is one storage request.  How a
         stage's groups are *issued* depends on the engine:
 
-        * Engines with ``wall_clock_io`` (real backends, the latency-injected
-          wrapper) dispatch the groups onto the process-wide bounded executor
-          (:mod:`repro.runtime`) so blocking requests genuinely overlap, at
-          most :attr:`effective_io_concurrency` in flight at once.  This is
-          the sync facade over the same fan-out ``execute_plan_async`` drives
-          with ``asyncio.gather``.
         * Metered engines (the simulated backends) issue the groups
-          sequentially on the calling thread.  Their latency is sampled from
-          seeded models, not slept, so threads would buy nothing and would
-          scramble the deterministic sampling order the experiment medians
-          depend on.  The *charged* concurrency is identical either way:
-          every operation lands on the attached :class:`CostLedger` tagged
-          with its stage, and ``ledger.pipelined_latency`` charges the max
-          latency within a stage plus the sum across stages.
+          sequentially, without ever suspending.  Their latency is sampled
+          from seeded models, not waited for, so concurrency would buy
+          nothing and would scramble the deterministic sampling order the
+          experiment medians depend on.  The *charged* concurrency is the
+          same either way: every operation lands on the attached
+          :class:`CostLedger` tagged with its stage, and
+          ``ledger.pipelined_latency`` charges the max latency within a
+          stage plus the sum across stages.
+        * Engines with ``wall_clock_io`` fan the groups out with
+          ``asyncio.gather``, at most :attr:`effective_io_concurrency` in
+          flight at once: as plain coroutines over the ``*_async`` operations
+          when the engine declares ``supports_native_async`` (no thread hop
+          per group), otherwise as blocking calls on the shared bounded
+          executor (:mod:`repro.runtime`) — unless the caller *is* an
+          executor worker, which runs them inline (see the runtime's note on
+          re-entrancy).
+        * Engines with ``supports_storage_batches`` ship the whole stage as
+          one op group (:meth:`execute_group_async`).
 
-        Stages remain barriers in both modes — no group of stage ``i+1`` is
+        Stages are barriers in every mode — no group of stage ``i+1`` is
         issued until every group of stage ``i`` completed — which is how the
         commit plan preserves the paper's data-before-commit-record write
-        ordering (Section 3.3).
-        """
-        from repro.core.io_plan import PlanResult
-
-        outer = self._ledger
-        inner = CostLedger()
-        result = PlanResult()
-        # One span per plan (not per stage): stage names ride along as an
-        # attribute so IO-plan structure stays visible in traces without
-        # paying span cost per barrier on the hot path.
-        with tr.span(
-            "io.plan",
-            stages=",".join(s.name for s in plan.stages),
-            n_ops=plan.operation_count,
-        ):
-            for stage in plan.stages:
-                stage_id = next(_stage_ids)
-                groups = self._stage_groups(stage)
-                if len(groups) > 1 and self.wall_clock_io:
-                    outcomes = runtime.run_blocking_group(
-                        [lambda g=group: self._run_group(g, stage_id) for group in groups],
-                        concurrency=self.effective_io_concurrency,
-                    )
-                else:
-                    outcomes = [self._run_group(group, stage_id) for group in groups]
-                self._collect_stage(outcomes, inner, result)
-        if outer is not None:
-            outer.merge(inner)
-        self._record_plan_stats(plan)
-        return result
-
-    async def execute_plan_async(self, plan: "IOPlan") -> "PlanResult":
-        """Asynchronously execute an :class:`~repro.core.io_plan.IOPlan`.
-
-        The async core of the IO pipeline: each stage's request groups are
-        fanned out with ``asyncio.gather``, every group running as one
-        blocking call on the shared bounded executor.  Stages remain
-        barriers — the gather of stage ``i`` is awaited before stage ``i+1``
-        issues — so the commit plan's data-before-commit-record ordering
-        holds exactly as in the sync path, and a caller cancelled mid-stage
-        never gets a later stage issued on its behalf.
-
-        Metered (non-``wall_clock_io``) engines run their groups inline on
-        the event loop instead: their operations return immediately and the
-        sequential issue order keeps the seeded latency sampling — and hence
-        the sync/async parity of values, stage latencies, and stats —
-        deterministic.
-
-        Engines that additionally declare ``supports_native_async`` skip the
-        executor entirely: each request group runs as a coroutine over the
-        engine's ``*_async`` operation twins, bounded by the same
-        per-stage concurrency semaphore.  No thread hop per group means the
-        fan-out is limited by the event loop, not by executor slots.
+        ordering (Section 3.3), and why a caller cancelled mid-stage never
+        gets a later stage issued on its behalf.
         """
         from repro.core.io_plan import PlanResult
 
@@ -546,8 +473,9 @@ class StorageEngine(ABC):
         inner = CostLedger()
         result = PlanResult()
         try:
-            # One span per plan, mirroring the sync path: stage names become
-            # an attribute instead of per-stage spans on the hot path.
+            # One span per plan (not per stage): stage names ride along as an
+            # attribute so IO-plan structure stays visible in traces without
+            # paying span cost per barrier on the hot path.
             with tr.span(
                 "io.plan",
                 stages=",".join(s.name for s in plan.stages),
@@ -557,29 +485,17 @@ class StorageEngine(ABC):
                     stage_id = next(_stage_ids)
                     if self.supports_storage_batches:
                         outcomes = await self._execute_stage_batched(stage, stage_id)
-                        self._collect_stage(outcomes, inner, result)
-                        continue
-                    if self.wall_clock_io and self.supports_native_async:
+                    elif self.wall_clock_io and self.supports_native_async:
                         outcomes = await self._gather_groups_native(
                             self._stage_groups_async(stage), stage_id
                         )
-                        self._collect_stage(outcomes, inner, result)
-                        continue
-                    groups = self._stage_groups(stage)
-                    if len(groups) > 1 and self.wall_clock_io:
-                        outcomes = await self._gather_groups(groups, stage_id)
-                    elif groups and self.wall_clock_io:
-                        loop = asyncio.get_running_loop()
-                        outcomes = [
-                            await loop.run_in_executor(
-                                runtime.io_executor(),
-                                runtime.marked(
-                                    lambda g=groups[0]: self._run_group(g, stage_id)
-                                ),
-                            )
-                        ]
+                    elif self.wall_clock_io and not runtime.in_io_worker():
+                        outcomes = await self._gather_groups(self._stage_groups(stage), stage_id)
                     else:
-                        outcomes = [self._run_group(group, stage_id) for group in groups]
+                        outcomes = [
+                            self._run_group(group, stage_id)
+                            for group in self._stage_groups(stage)
+                        ]
                     self._collect_stage(outcomes, inner, result)
         finally:
             # Surface the charges of completed groups even when cancelled
@@ -626,7 +542,7 @@ class StorageEngine(ABC):
         return list(await asyncio.gather(*(run_one(thunk) for thunk in thunks)))
 
     def _stage_groups_async(self, stage: "IOStage"):
-        """Async twin of :meth:`_stage_groups`: coroutine thunks per request group."""
+        """Coroutine thunks per request group, for ``supports_native_async`` engines."""
         thunks = []
         for group in self._plan_put_groups(stage.puts):
             thunks.append(lambda g=group: self._execute_put_group_async(g))
@@ -660,7 +576,7 @@ class StorageEngine(ABC):
             thunks.append(lambda ks=key_group: self._execute_get_group(ks))
         deletes = stage.deletes
         if deletes:
-            thunks.append(lambda ks=deletes: self._execute_delete_group(ks))
+            thunks.append(lambda ks=deletes: self.multi_delete(ks))
         return thunks
 
     def _run_group(
@@ -744,10 +660,6 @@ class StorageEngine(ABC):
         if len(keys) > 1:
             return self.multi_get(keys)
         return {keys[0]: self.get(keys[0])}
-
-    def _execute_delete_group(self, keys: list[str]) -> None:
-        """Issue one delete request covering a stage's deletes."""
-        self.multi_delete(keys)
 
     # ------------------------------------------------------------------ #
     # Convenience

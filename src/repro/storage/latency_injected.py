@@ -10,9 +10,10 @@ no reproduction code path ever experiences real concurrency.
 simulated-time accounting — exactly what the async-IO benchmark needs to
 measure genuine txn/s scaling (``bench_ablation_async_io``).
 
-The wrapper declares ``wall_clock_io``, so ``execute_plan`` /
-``execute_plan_async`` fan its request groups out on the shared bounded
-executor instead of issuing them sequentially.  The injected sleep happens
+The wrapper declares ``wall_clock_io``, so ``execute_plan_async`` fans its
+request groups out (on the shared bounded executor, or as coroutines with
+``native_async``) instead of issuing them sequentially, and sync callers are
+driven on an event loop.  The injected sleep happens
 *outside* the wrapper's lock; the inner engine's (instant) operation and the
 stats counters are updated under it, so counters stay exact even under heavy
 fan-out.
@@ -77,14 +78,31 @@ class LatencyInjectedStorage(StorageEngine):
         self.max_batch_get_size = inner.max_batch_get_size
 
     # ------------------------------------------------------------------ #
+    # Every operation is "wait the injected delay, then apply": the blocking
+    # form sleeps the calling thread, the ``*_async`` form awaits the delay on
+    # the event loop (so many in-flight operations interleave on one thread),
+    # and both share one ``_apply_*`` body — the inner (instant) operation
+    # and the counters update under the lock, the wait happens outside it.
+    # ------------------------------------------------------------------ #
     def _sleep(self, op: str, n_items: int = 1, total_bytes: int = 0) -> None:
         delay = self.injected.sample(op, n_items=n_items, total_bytes=total_bytes)
         if delay > 0:
             time.sleep(delay)
 
-    # ------------------------------------------------------------------ #
+    async def _sleep_async(self, op: str, n_items: int = 1, total_bytes: int = 0) -> None:
+        delay = self.injected.sample(op, n_items=n_items, total_bytes=total_bytes)
+        if delay > 0:
+            await asyncio.sleep(delay)
+
     def get(self, key: str) -> bytes | None:
         self._sleep("read")
+        return self._apply_get(key)
+
+    async def get_async(self, key: str) -> bytes | None:
+        await self._sleep_async("read")
+        return self._apply_get(key)
+
+    def _apply_get(self, key: str) -> bytes | None:
         with self._lock:
             value = self.inner.get(key)
             self.stats.reads += 1
@@ -96,6 +114,13 @@ class LatencyInjectedStorage(StorageEngine):
 
     def put(self, key: str, value: bytes) -> None:
         self._sleep("write", total_bytes=len(value))
+        self._apply_put(key, value)
+
+    async def put_async(self, key: str, value: bytes) -> None:
+        await self._sleep_async("write", total_bytes=len(value))
+        self._apply_put(key, value)
+
+    def _apply_put(self, key: str, value: bytes) -> None:
         with self._lock:
             self.inner.put(key, value)
             self.stats.writes += 1
@@ -105,6 +130,13 @@ class LatencyInjectedStorage(StorageEngine):
 
     def delete(self, key: str) -> None:
         self._sleep("delete")
+        self._apply_delete(key)
+
+    async def delete_async(self, key: str) -> None:
+        await self._sleep_async("delete")
+        self._apply_delete(key)
+
+    def _apply_delete(self, key: str) -> None:
         with self._lock:
             self.inner.delete(key)
             self.stats.deletes += 1
@@ -119,10 +151,17 @@ class LatencyInjectedStorage(StorageEngine):
         self._charge("list", n_items=max(1, len(keys)))
         return keys
 
-    # ------------------------------------------------------------------ #
     def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
         keys = list(keys)
         self._sleep("batch_read", n_items=max(1, len(keys)))
+        return self._apply_multi_get(keys)
+
+    async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
+        keys = list(keys)
+        await self._sleep_async("batch_read", n_items=max(1, len(keys)))
+        return self._apply_multi_get(keys)
+
+    def _apply_multi_get(self, keys: list[str]) -> dict[str, bytes | None]:
         with self._lock:
             result = self.inner.multi_get(keys)
             total = sum(len(v) for v in result.values() if v is not None)
@@ -135,6 +174,14 @@ class LatencyInjectedStorage(StorageEngine):
     def multi_put(self, items: Mapping[str, bytes]) -> None:
         total = sum(len(v) for v in items.values())
         self._sleep("batch_write", n_items=max(1, len(items)), total_bytes=total)
+        self._apply_multi_put(items, total)
+
+    async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
+        total = sum(len(v) for v in items.values())
+        await self._sleep_async("batch_write", n_items=max(1, len(items)), total_bytes=total)
+        self._apply_multi_put(items, total)
+
+    def _apply_multi_put(self, items: Mapping[str, bytes], total: int) -> None:
         with self._lock:
             self.inner.multi_put(items)
             self.stats.batch_writes += 1
@@ -145,75 +192,14 @@ class LatencyInjectedStorage(StorageEngine):
     def multi_delete(self, keys: Iterable[str]) -> None:
         keys = list(keys)
         self._sleep("batch_write", n_items=max(1, len(keys)))
-        with self._lock:
-            self.inner.multi_delete(keys)
-            self.stats.deletes += 1
-            self.stats.items_deleted += len(keys)
-        self._charge("batch_write", n_items=max(1, len(keys)))
-
-    # ------------------------------------------------------------------ #
-    # Native-async twins: the injected delay is awaited, not slept, so the
-    # event loop interleaves many in-flight operations on one thread.  The
-    # inner (instant) operation and the counters still update under the lock.
-    # ------------------------------------------------------------------ #
-    async def _sleep_async(self, op: str, n_items: int = 1, total_bytes: int = 0) -> None:
-        delay = self.injected.sample(op, n_items=n_items, total_bytes=total_bytes)
-        if delay > 0:
-            await asyncio.sleep(delay)
-
-    async def get_async(self, key: str) -> bytes | None:
-        await self._sleep_async("read")
-        with self._lock:
-            value = self.inner.get(key)
-            self.stats.reads += 1
-            if value is not None:
-                self.stats.items_read += 1
-                self.stats.bytes_read += len(value)
-        self._charge("read", total_bytes=len(value) if value else 0)
-        return value
-
-    async def put_async(self, key: str, value: bytes) -> None:
-        await self._sleep_async("write", total_bytes=len(value))
-        with self._lock:
-            self.inner.put(key, value)
-            self.stats.writes += 1
-            self.stats.items_written += 1
-            self.stats.bytes_written += len(value)
-        self._charge("write", total_bytes=len(value))
-
-    async def delete_async(self, key: str) -> None:
-        await self._sleep_async("delete")
-        with self._lock:
-            self.inner.delete(key)
-            self.stats.deletes += 1
-            self.stats.items_deleted += 1
-        self._charge("delete")
-
-    async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
-        keys = list(keys)
-        await self._sleep_async("batch_read", n_items=max(1, len(keys)))
-        with self._lock:
-            result = self.inner.multi_get(keys)
-            total = sum(len(v) for v in result.values() if v is not None)
-            self.stats.batch_reads += 1
-            self.stats.items_read += sum(1 for v in result.values() if v is not None)
-            self.stats.bytes_read += total
-        self._charge("batch_read", n_items=max(1, len(keys)), total_bytes=total)
-        return result
-
-    async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
-        total = sum(len(v) for v in items.values())
-        await self._sleep_async("batch_write", n_items=max(1, len(items)), total_bytes=total)
-        with self._lock:
-            self.inner.multi_put(items)
-            self.stats.batch_writes += 1
-            self.stats.items_written += len(items)
-            self.stats.bytes_written += total
-        self._charge("batch_write", n_items=max(1, len(items)), total_bytes=total)
+        self._apply_multi_delete(keys)
 
     async def multi_delete_async(self, keys: Iterable[str]) -> None:
         keys = list(keys)
         await self._sleep_async("batch_write", n_items=max(1, len(keys)))
+        self._apply_multi_delete(keys)
+
+    def _apply_multi_delete(self, keys: list[str]) -> None:
         with self._lock:
             self.inner.multi_delete(keys)
             self.stats.deletes += 1

@@ -1,10 +1,10 @@
-"""Tests for the async IO runtime (PR 6).
+"""Tests for the async IO runtime.
 
 Three properties anchor the runtime:
 
-* **parity** — the async core and the sync facade are the same protocol:
-  one plan on identical engines yields identical values, stage latencies,
-  request counts, and stats counters either way;
+* **one path** — every sync entry point only drives its coroutine: over a
+  metered engine it completes inline in the calling thread with no event
+  loop, charging the caller's ledger exactly as awaiting the coroutine does;
 * **ordering** — §3.3 survives the fan-out: a stage is a barrier, so no
   commit record is ever issued before the whole data stage finished, even
   with requests overlapping inside a stage;
@@ -24,101 +24,158 @@ import pytest
 from repro import runtime
 from repro.clock import LogicalClock
 from repro.config import AftConfig
+from repro.core.commit_set import CommitSetStore
+from repro.core.group_commit import execute_commit_plan
 from repro.core.io_plan import IOPlan
 from repro.core.node import AftNode
 from repro.core.transaction import TransactionStatus
 from repro.ids import is_commit_record_key
+from repro.rpc.storage_client import RemoteStorage
+from repro.storage.base import CostLedger
 from repro.storage.dynamodb import SimulatedDynamoDB
 from repro.storage.latency import ConstantLatency, ZeroLatency
 from repro.storage.latency_injected import LatencyInjectedStorage
 from repro.storage.memory import InMemoryStorage
-from repro.storage.rediscluster import SimulatedRedisCluster
 from repro.storage.s3 import SimulatedS3
 
 
-def make_engine(kind: str):
-    clock = LogicalClock(start=10.0, auto_step=0.001)
-    latency = ConstantLatency(0.004)
-    if kind == "memory":
-        return InMemoryStorage(latency_model=latency, clock=clock)
-    if kind == "dynamodb":
-        return SimulatedDynamoDB(latency_model=latency, clock=clock, seed=3)
-    if kind == "s3":
-        return SimulatedS3(latency_model=latency, clock=clock, seed=3)
-    if kind == "redis":
-        return SimulatedRedisCluster(latency_model=latency, clock=clock, shard_count=2)
-    raise ValueError(kind)
+FACADE_CONFIGS = {
+    "default": {},
+    "spill": {"write_buffer_spill_bytes": 10},
+    "pipeline-off": {"enable_io_pipeline": False},
+    "batching-off": {"batch_commit_writes": False},
+    "group-commit": {"enable_group_commit": True},
+}
 
 
-def commit_shaped_plan() -> IOPlan:
-    data = {f"data/k{i}": f"v{i}".encode() for i in range(7)}
-    records = {"commit/r1": b"record"}
-    return IOPlan.commit(data, records)
+class TestSyncFacadeMatrix:
+    """Sync put -> commit -> get_many is the coroutine, stepped inline."""
 
+    KEYS = [f"key-{i}" for i in range(6)]
 
-class TestSyncAsyncParity:
-    """One plan, two execution modes, identical observable outcomes."""
+    def build(self, overrides) -> tuple[AftNode, SimulatedDynamoDB]:
+        # DynamoDB: native batches (so batching-off differs from batching-on)
+        # and a seeded latency model (so issue order would show).
+        clock = LogicalClock(start=10.0, auto_step=0.001)
+        engine = SimulatedDynamoDB(latency_model=ConstantLatency(0.004), clock=clock, seed=3)
+        config = AftConfig(enable_data_cache=False, **overrides)
+        node = AftNode(engine, config=config, clock=clock, node_id="facade-node")
+        node.start()
+        return node, engine
 
-    @pytest.mark.parametrize("kind", ["memory", "dynamodb", "s3", "redis"])
-    def test_plan_results_and_stats_match(self, kind):
-        sync_engine = make_engine(kind)
-        async_engine = make_engine(kind)
+    @staticmethod
+    def entries(ledger: CostLedger) -> list[tuple[str, int, int]]:
+        return [(e.op, e.n_items, e.total_bytes) for e in ledger.entries]
 
-        sync_result = sync_engine.execute_plan(commit_shaped_plan())
-        async_result = asyncio.run(async_engine.execute_plan_async(commit_shaped_plan()))
+    @pytest.mark.parametrize("name", list(FACADE_CONFIGS))
+    def test_inline_in_the_calling_thread_with_the_callers_ledger(self, name, monkeypatch):
+        def no_loop(*args, **kwargs):
+            raise AssertionError("a sync facade over a metered engine created an event loop")
 
-        assert async_result.values == sync_result.values
-        assert async_result.stage_latencies == sync_result.stage_latencies
-        assert async_result.requests_issued == sync_result.requests_issued
-        assert async_result.total_latency == sync_result.total_latency
-        assert async_engine.stats.snapshot() == sync_engine.stats.snapshot()
+        node, engine = self.build(FACADE_CONFIGS[name])
+        charge_threads = set()
+        charge = engine._charge
 
-    @pytest.mark.parametrize("kind", ["memory", "s3"])
-    def test_read_plan_parity(self, kind):
-        sync_engine = make_engine(kind)
-        async_engine = make_engine(kind)
-        for engine in (sync_engine, async_engine):
-            engine.multi_put({f"k{i}": b"x" * (i + 1) for i in range(5)})
+        def recording_charge(*args, **kwargs):
+            charge_threads.add(threading.get_ident())
+            return charge(*args, **kwargs)
 
-        plan = IOPlan.reads([f"k{i}" for i in range(5)], name="parity-read")
-        sync_result = sync_engine.execute_plan(plan)
-        plan2 = IOPlan.reads([f"k{i}" for i in range(5)], name="parity-read")
-        async_result = asyncio.run(async_engine.execute_plan_async(plan2))
+        monkeypatch.setattr(engine, "_charge", recording_charge)
+        monkeypatch.setattr(asyncio, "new_event_loop", no_loop)
+        monkeypatch.setattr(runtime, "event_loop", no_loop)
 
-        assert async_result.values == sync_result.values
-        assert async_result.stage_latencies == sync_result.stage_latencies
-        assert async_engine.stats.snapshot() == sync_engine.stats.snapshot()
+        sync_ledger = CostLedger()
+        with engine.metered(sync_ledger):
+            writer = node.start_transaction("writer")
+            for key in self.KEYS:
+                node.put(writer, key, f"value-of-{key}".encode())
+            node.commit_transaction(writer)
+            reader = node.start_transaction("reader")
+            sync_values = node.get_many(reader, self.KEYS)
+        monkeypatch.undo()
 
-    def test_node_level_read_parity(self):
-        def build():
-            node = AftNode(
-                InMemoryStorage(),
-                config=AftConfig(enable_data_cache=False),
-                clock=LogicalClock(start=50.0, auto_step=0.001),
-                node_id="parity-node",
+        assert sync_values == {key: f"value-of-{key}".encode() for key in self.KEYS}
+        assert charge_threads == {threading.get_ident()}
+
+        async_node, async_engine = self.build(FACADE_CONFIGS[name])
+        async_ledger = CostLedger()
+
+        async def awaited():
+            with async_engine.metered(async_ledger):
+                writer = async_node.start_transaction("writer")
+                for key in self.KEYS:
+                    await async_node.put_async(writer, key, f"value-of-{key}".encode())
+                await async_node.commit_transaction_async(writer)
+                reader = async_node.start_transaction("reader")
+                return await async_node.get_many_async(reader, self.KEYS)
+
+        assert asyncio.run(awaited()) == sync_values
+        assert self.entries(sync_ledger)
+        assert self.entries(sync_ledger) == self.entries(async_ledger)
+        assert async_engine.stats.snapshot() == engine.stats.snapshot()
+        assert async_node.stats.storage_value_reads == node.stats.storage_value_reads
+
+    def test_the_configs_really_take_different_paths(self):
+        shapes = {}
+        for name, overrides in FACADE_CONFIGS.items():
+            node, engine = self.build(overrides)
+            ledger = CostLedger()
+            with engine.metered(ledger):
+                txid = node.start_transaction("writer")
+                for key in self.KEYS:
+                    node.put(txid, key, f"value-of-{key}".encode())
+                node.commit_transaction(txid)
+            shapes[name] = self.entries(ledger)
+        assert shapes["spill"] != shapes["default"]
+        assert shapes["batching-off"] != shapes["default"]
+        assert shapes["group-commit"] == shapes["default"]
+        assert node.stats.group_commits == 1
+
+    def test_execute_commit_plan_facade_keeps_the_stage_order(self):
+        engine = SimulatedS3(latency_model=ConstantLatency(0.004), seed=3)
+        ledger = CostLedger()
+        with engine.metered(ledger):
+            execute_commit_plan(
+                engine, CommitSetStore(engine), {"d/1": b"x", "d/2": b"y"}, {"c/r": b"rec"}
             )
-            node.start()
-            txid = node.start_transaction("seed")
-            for i in range(6):
-                node.put(txid, f"key-{i}", f"value-{i}".encode())
-            node.commit_transaction(txid)
-            return node
+        stages = [entry.stage for entry in ledger.entries]
+        assert len(stages) == 3 and stages[0] == stages[1] < stages[2]
+        assert engine.get("c/r") == b"rec"
 
-        keys = [f"key-{i}" for i in range(6)]
-        sync_node = build()
-        t1 = sync_node.start_transaction("read")
-        sync_values = sync_node.get_many(t1, keys)
 
-        async_node = build()
-        t2 = async_node.start_transaction("read")
-        async_values = asyncio.run(async_node.get_many_async(t2, keys))
+class TestSyncOnLoop:
+    """A sync facade on the loop it would block is an error, not a deadlock."""
 
-        assert async_values == sync_values
-        assert async_node.stats.storage_value_reads == sync_node.stats.storage_value_reads
+    def test_facade_called_on_the_runtime_loop_raises(self):
+        engine = LatencyInjectedStorage(InMemoryStorage(), injected=ConstantLatency(0.0))
+
+        async def sync_call_from_a_coroutine():
+            # Driven on the runtime-owned loop (wall-clock engine); the nested
+            # sync facade would have to block that very loop.
+            engine.execute_plan(IOPlan.writes({"k": b"v"}))
+
+        with pytest.raises(RuntimeError, match="event loop it would block"):
+            runtime.drive(sync_call_from_a_coroutine(), engine)
+        # From any other thread (or loop) the same facade simply works.
+        engine.execute_plan(IOPlan.writes({"k": b"v"}))
+        assert engine.get("k") == b"v"
+
+    def test_remote_storage_needs_its_loop_and_rejects_sync_calls_on_it(self):
+        with pytest.raises(TypeError):
+            RemoteStorage(None)
+
+        async def on_the_connection_loop():
+            storage = RemoteStorage(None, loop=asyncio.get_running_loop())
+            with pytest.raises(RuntimeError, match="event loop it would block"):
+                storage.get("k")
+            with pytest.raises(RuntimeError, match="event loop it would block"):
+                storage.execute_plan(IOPlan.reads(["k"]))
+
+        asyncio.run(on_the_connection_loop())
 
 
 class TestWallClockOverlap:
-    """Wall-clock engines really overlap requests — in both facades."""
+    """Wall-clock engines really overlap requests — awaited or driven."""
 
     def overlap_engine(self, sleep_s: float = 0.02) -> LatencyInjectedStorage:
         # SimulatedS3 has no batch APIs, so an 8-key stage fans out as 8
@@ -328,12 +385,43 @@ class TestRuntimeHelpers:
         (names,) = runtime.run_blocking_group([outer])
         assert len(set(names)) == 1  # both inner thunks ran on the one worker
 
+    def test_sync_plan_from_a_pool_worker_never_waits_on_the_pool(self):
+        # The fault manager's replay shape: sync execute_plan on a wall-clock
+        # engine from inside run_blocking_group.  With every worker occupied
+        # by such a caller, a plan that dispatched its groups back onto the
+        # pool would wait forever; the worker flag keeps it on the worker.
+        engine = LatencyInjectedStorage(
+            SimulatedS3(latency_model=ZeroLatency()), injected=ConstantLatency(0.001)
+        )
+        size = runtime.io_executor_size()
+        runtime.configure_io_executor(2)
+        try:
+            done = threading.Event()
+
+            def replay():
+                def one(i: int):
+                    engine.execute_plan(IOPlan.writes({f"w{i}/{j}": b"v" for j in range(3)}))
+                    return runtime.in_io_worker()
+
+                flags = runtime.run_blocking_group([lambda i=i: one(i) for i in range(4)])
+                done.set()
+                return flags
+
+            holder: list = []
+            thread = threading.Thread(target=lambda: holder.append(replay()), daemon=True)
+            thread.start()
+            assert done.wait(timeout=10.0), "nested plan deadlocked on the shared executor"
+            thread.join(timeout=5.0)
+            assert holder == [[True] * 4]
+            assert engine.stats.writes == 12
+        finally:
+            runtime.configure_io_executor(size)
+
     def test_config_validates_io_concurrency(self):
         with pytest.raises(ValueError):
             AftConfig(io_concurrency=0)
-        config = AftConfig(io_concurrency=4, async_runtime=True)
+        config = AftConfig(io_concurrency=4)
         assert config.as_dict()["io_concurrency"] == 4
-        assert config.as_dict()["async_runtime"] is True
 
     def test_node_applies_io_concurrency_to_engines(self):
         engine = InMemoryStorage()

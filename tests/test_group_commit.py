@@ -8,10 +8,13 @@ visible state — readers keep seeing the pre-batch versions, never a mix.
 
 from __future__ import annotations
 
+import asyncio
 import threading
+import time
 
 import pytest
 
+from repro import runtime
 from repro.clock import LogicalClock
 from repro.config import AftConfig
 from repro.core.commit_set import CommitSetStore
@@ -20,6 +23,8 @@ from repro.core.node import AftNode
 from repro.core.transaction import TransactionStatus
 from repro.errors import StorageUnavailableError
 from repro.ids import is_commit_record_key
+from repro.storage.latency import ConstantLatency
+from repro.storage.latency_injected import LatencyInjectedStorage
 from repro.storage.memory import InMemoryStorage
 
 
@@ -269,8 +274,8 @@ class TestConcurrentCoalescing:
         assert not errors
         assert node.stats.transactions_committed == 6
         assert node.stats.group_commit_batched_txns == 6
-        # At least some commits rode a shared batch (the window makes the
-        # leader wait for the stragglers).
+        # At least some commits rode a shared batch: the threads rendezvous
+        # on the runtime loop, where the open batch waits out its window.
         assert node.group_committer.stats.largest_batch >= 2
         assert node.stats.group_commits < 6
         reader = node.start_transaction()
@@ -283,6 +288,71 @@ class TestConcurrentCoalescing:
         node.commit_transaction(txid)
         assert node.stats.group_commits == 1
         assert node.stats.group_commit_batched_txns == 1
+
+
+class TestFullBatchFlushesEarly:
+    """A batch that reaches ``group_commit_max_txns`` does not wait out the window."""
+
+    WINDOW = 5.0
+
+    def full_batch_node(self) -> tuple[AftNode, list[str]]:
+        node = make_node(
+            InMemoryStorage(),
+            enable_group_commit=True,
+            group_commit_window=self.WINDOW,
+            group_commit_max_txns=4,
+        )
+        return node, [open_txn(node, {f"f{i}": b"v"}) for i in range(4)]
+
+    def test_awaited_commits_return_as_soon_as_the_batch_fills(self):
+        node, txids = self.full_batch_node()
+
+        async def run() -> float:
+            start = time.monotonic()
+            await asyncio.wait_for(
+                asyncio.gather(*(node.commit_transaction_async(txid) for txid in txids)),
+                timeout=self.WINDOW - 1.0,
+            )
+            return time.monotonic() - start
+
+        assert asyncio.run(run()) < 1.0
+        assert node.stats.group_commits == 1
+        assert node.group_committer.stats.largest_batch == 4
+
+    def test_threads_on_the_sync_facade_return_as_soon_as_the_batch_fills(self):
+        node, txids = self.full_batch_node()
+        start = time.monotonic()
+        threads = [
+            threading.Thread(target=node.commit_transaction, args=(txid,), daemon=True)
+            for txid in txids
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=self.WINDOW - 1.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() - start < 1.0
+        assert node.stats.transactions_committed == 4
+        assert node.stats.group_commits == 1
+
+    def test_a_cancelled_member_does_not_cancel_the_others(self):
+        node = make_node(
+            InMemoryStorage(),
+            enable_group_commit=True,
+            group_commit_window=0.05,
+            group_commit_max_txns=8,
+        )
+        impatient, patient = (open_txn(node, {f"c{i}": b"v"}) for i in range(2))
+
+        async def run():
+            doomed = asyncio.ensure_future(node.commit_transaction_async(impatient))
+            waiter = asyncio.ensure_future(node.commit_transaction_async(patient))
+            await asyncio.sleep(0)
+            doomed.cancel()
+            return await waiter
+
+        assert asyncio.run(run()) is not None
+        assert node.transaction_status(patient) is TransactionStatus.COMMITTED
 
 
 class TestSimulatorGuards:
@@ -310,32 +380,65 @@ class TestSimulatorGuards:
 
 
 class TestGroupCommitterDirect:
+    """The one committer, driven the way the sync facades drive it."""
+
+    def pendings_for(self, count: int) -> list[PendingCommit]:
+        node = make_node(InMemoryStorage())  # only used to mint records
+        pendings = []
+        for i in range(count):
+            txid = open_txn(node, {f"k{i}": b"v"})
+            prepared = node._prepare_commit(txid)
+            pendings.append(PendingCommit(txid=txid, record=prepared.record, data=prepared.to_persist))
+        return pendings
+
     def test_flush_error_propagates_to_every_member(self):
         storage = CommitRecordFailingStorage()
         committer = GroupCommitter(storage, CommitSetStore(storage), max_txns=4)
-        node = make_node(InMemoryStorage())  # only used to mint records
-        txids = [open_txn(node, {f"k{i}": b"v"}) for i in range(2)]
-        pendings = []
-        for txid in txids:
-            prepared = node._prepare_commit(txid)
-            pendings.append(PendingCommit(txid=txid, record=prepared.record, data=prepared.to_persist))
+        pendings = self.pendings_for(2)
 
         with pytest.raises(StorageUnavailableError):
-            committer.commit_batch(pendings)
+            runtime.drive(committer.commit_batch(pendings), storage)
         for pending in pendings:
-            assert pending.error is not None
+            assert isinstance(pending.error, StorageUnavailableError)
             assert pending.done.is_set()
+            assert pending.batch_size == 2
+        assert committer.stats.flushes == 0
 
     def test_stats_track_flushes(self):
         storage = InMemoryStorage()
-        committer = GroupCommitter(storage, CommitSetStore(storage), max_txns=2)
-        node = make_node(InMemoryStorage())
-        txids = [open_txn(node, {f"k{i}": b"v"}) for i in range(3)]
-        pendings = []
-        for txid in txids:
-            prepared = node._prepare_commit(txid)
-            pendings.append(PendingCommit(txid=txid, record=prepared.record, data=prepared.to_persist))
-        committer.commit_batch(pendings)
+        flushed: list[int] = []
+        committer = GroupCommitter(
+            storage, CommitSetStore(storage), max_txns=2, on_flush=flushed.append
+        )
+        pendings = self.pendings_for(3)
+        assert runtime.drive(committer.commit_batch(pendings), storage) == pendings
         assert committer.stats.flushes == 2
         assert committer.stats.transactions_flushed == 3
         assert committer.stats.largest_batch == 2
+        assert flushed == [2, 1]
+        assert [pending.batch_size for pending in pendings] == [2, 2, 1]
+        assert all(pending.done.is_set() and pending.error is None for pending in pendings)
+
+    def test_single_commit_without_a_window_is_a_batch_of_one(self):
+        storage = InMemoryStorage()
+        committer = GroupCommitter(storage, CommitSetStore(storage), max_txns=4)
+        (pending,) = self.pendings_for(1)
+        assert runtime.drive(committer.commit(pending), storage) is pending
+        assert pending.batch_size == 1 and committer.stats.flushes == 1
+        assert CommitSetStore(storage).count() == 1
+
+    def test_cancelled_batch_stops_issuing_chunks(self):
+        """Cancellation is not a per-member error to flush past: the chunk in
+        flight fails its members and no later chunk is issued."""
+        storage = LatencyInjectedStorage(InMemoryStorage(), injected=ConstantLatency(0.05))
+        committer = GroupCommitter(storage, CommitSetStore(storage), max_txns=1)
+        pendings = self.pendings_for(3)
+
+        async def run():
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(committer.commit_batch(pendings), timeout=0.01)
+
+        asyncio.run(run())
+        assert isinstance(pendings[0].error, asyncio.CancelledError)
+        assert not pendings[1].done.is_set() and not pendings[2].done.is_set()
+        assert committer.stats.flushes == 0
