@@ -1,21 +1,17 @@
-"""Benchmark — the wire hot path: binary framing, op batching, coalescing.
+"""Benchmark — the wire hot path: storage-op batching and writer coalescing.
 
-Three measurements back the PR's protocol work:
+Two measurements back the protocol work:
 
-* **Codec microbench.**  One payload-heavy ``storage_batch`` frame is
-  encoded and decoded through both negotiated wire formats.  The JSON wire
-  pays ``base64`` inflation plus byte-by-byte string escaping on every
-  bulk payload; the hybrid binary wire JSON-encodes only a compact header
-  and memcpys the payloads raw.
 * **Round trips per transaction.**  An in-process cluster (real localhost
   sockets: one router + three node servers, the same objects the
   ``repro-router``/``repro-node`` processes run) is driven by a closed-loop
-  swarm of concurrent client sessions twice: once as a PR 7-era deployment
-  (JSON wire, one frame per storage op) and once with the negotiated fast
-  path (binary wire + ``storage_batch`` coalescing).  The router counts
-  storage *frames* and storage *ops*, so the metric is exact: how many
-  wire round trips does the shared-storage service absorb per committed
-  transaction?  The acceptance criterion is **>= 2x fewer**.
+  swarm of concurrent client sessions twice: once with one ``storage``
+  frame per storage op (``NodeServer(enable_storage_batching=False)``, the
+  ``repro-node --no-storage-batching`` position) and once with
+  ``storage_batch`` coalescing.  The router counts storage *frames* and
+  storage *ops*, so the metric is exact: how many wire round trips does the
+  shared-storage service absorb per committed transaction?  The acceptance
+  criterion is **>= 2x fewer**.
 * **Writer coalescing.**  Per-connection counters report frames per
   ``drain()`` — frames queued behind an in-flight flush share one syscall.
 
@@ -33,12 +29,9 @@ import time
 from bench_utils import emit, emit_json, run_once
 
 from repro.harness.report import format_rows
-from repro.rpc import messages as m
 from repro.rpc.client import AsyncRouterClient
-from repro.rpc.framing import FORMAT_BINARY, FORMAT_JSON, decode_frame, frame_bytes
 from repro.rpc.node_server import NodeServer
 from repro.rpc.router import RouterServer
-from repro.storage.base import StorageOp
 
 FAST_MODE = os.environ.get("BENCH_FAST", "") not in ("", "0")
 
@@ -49,62 +42,10 @@ TXNS_PER_WORKER = 6 if FAST_MODE else 25
 N_KEYS = 32
 PAYLOAD = b"\x42" * 256
 SEED = 23
-#: Opportunistic coalescing window for the fast-path config (the
+#: Opportunistic coalescing window for the batched config (the
 #: ``--coalesce-window`` node knob): up to 1 ms of stage latency buys
 #: cross-session op merging even when the swarm de-synchronises.
 COALESCE_WINDOW = 0.001
-
-#: Codec microbench shape: one storage_batch frame carrying a group-commit
-#: sized op group with data-blob payloads.
-CODEC_OPS = 16
-CODEC_BLOB = bytes(range(256)) * 8  # 2 KiB, full byte alphabet
-CODEC_ITERATIONS = 200 if FAST_MODE else 2000
-
-
-# --------------------------------------------------------------------- #
-# Codec microbench
-# --------------------------------------------------------------------- #
-def _codec_bench() -> dict:
-    ops = [
-        StorageOp(op="put", keys=(f"aft.data/k{i}/t{i}",), items={f"aft.data/k{i}/t{i}": CODEC_BLOB})
-        for i in range(CODEC_OPS)
-    ]
-    msg_type, version, body = m.encode_body(m.encode_storage_ops(ops))
-    envelope = {"id": 1, "type": msg_type, "v": version, "body": body}
-
-    def timed_us(fn) -> float:
-        start = time.perf_counter()
-        for _ in range(CODEC_ITERATIONS):
-            fn()
-        return (time.perf_counter() - start) / CODEC_ITERATIONS * 1e6
-
-    result: dict = {
-        "iterations": CODEC_ITERATIONS,
-        "message": f"storage_batch: {CODEC_OPS} puts x {len(CODEC_BLOB)} B",
-    }
-    frames = {}
-    for wire_format in (FORMAT_JSON, FORMAT_BINARY):
-        frame = frame_bytes(envelope, wire_format)
-        frames[wire_format] = frame
-        payload = frame[4:]
-        result[f"{wire_format}_frame_bytes"] = len(frame)
-        result[f"{wire_format}_encode_us"] = round(
-            timed_us(lambda wf=wire_format: frame_bytes(envelope, wf)), 2
-        )
-        result[f"{wire_format}_decode_us"] = round(
-            timed_us(lambda p=payload: decode_frame(p)), 2
-        )
-    result["encode_speedup"] = round(result["json_encode_us"] / result["binary_encode_us"], 2)
-    result["decode_speedup"] = round(result["json_decode_us"] / result["binary_decode_us"], 2)
-    result["codec_speedup"] = round(
-        (result["json_encode_us"] + result["json_decode_us"])
-        / (result["binary_encode_us"] + result["binary_decode_us"]),
-        2,
-    )
-    result["frame_size_ratio"] = round(
-        len(frames[FORMAT_JSON]) / len(frames[FORMAT_BINARY]), 3
-    )
-    return result
 
 
 # --------------------------------------------------------------------- #
@@ -184,7 +125,6 @@ async def _drive(router: _CountingRouter) -> dict:
     frames_out = sum(c["frames_out"] for c in node_wire.values())
     drains = sum(c["drains"] for c in node_wire.values())
     return {
-        "wire_format": next(iter(node_wire.values()))["format"],
         "txns": txns,
         "elapsed_s": round(elapsed, 3),
         "txn_per_s": round(txns / elapsed, 1) if elapsed else 0.0,
@@ -201,17 +141,11 @@ async def _drive(router: _CountingRouter) -> dict:
     }
 
 
-def _run_cluster(fast_path: bool) -> dict:
+def _run_cluster(batched: bool) -> dict:
     """Boot router + nodes on one loop and drive the swarm through them."""
 
     async def scenario() -> dict:
-        router = _CountingRouter(
-            port=0,
-            lease_duration=5.0,
-            heartbeat_interval=1.0,
-            wire_formats=(FORMAT_JSON, FORMAT_BINARY) if fast_path else (FORMAT_JSON,),
-            enable_storage_batches=fast_path,
-        )
+        router = _CountingRouter(port=0, lease_duration=5.0, heartbeat_interval=1.0)
         await router.start()
         nodes = []
         try:
@@ -219,7 +153,8 @@ def _run_cluster(fast_path: bool) -> dict:
                 node = NodeServer(
                     f"n{i}",
                     router_port=router.port,
-                    coalesce_window=COALESCE_WINDOW if fast_path else 0.0,
+                    enable_storage_batching=batched,
+                    coalesce_window=COALESCE_WINDOW if batched else 0.0,
                 )
                 await node.start()
                 nodes.append(node)
@@ -242,11 +177,10 @@ def run_rpc_hotpath_bench() -> dict:
             "keys": N_KEYS,
             "payload_bytes": len(PAYLOAD),
         },
-        "codec": _codec_bench(),
-        # "before" is the PR 7 deployment: JSON wire, one frame per storage
-        # op; "after" is the negotiated fast path.
-        "before": _run_cluster(fast_path=False),
-        "after": _run_cluster(fast_path=True),
+        # "before" sends one frame per storage op; "after" coalesces ops
+        # into storage_batch frames.
+        "before": _run_cluster(batched=False),
+        "after": _run_cluster(batched=True),
     }
     before, after = summary["before"], summary["after"]
     summary["round_trip_improvement"] = round(
@@ -262,7 +196,6 @@ def test_rpc_hotpath(benchmark):
 
     rows = []
     for name in (
-        "wire_format",
         "txns",
         "txn_per_s",
         "storage_frames",
@@ -274,33 +207,27 @@ def test_rpc_hotpath(benchmark):
         rows.append(
             {
                 "metric": name,
-                "before (json, unbatched)": summary["before"][name],
-                "after (binary, batched)": summary["after"][name],
+                "before (unbatched)": summary["before"][name],
+                "after (batched)": summary["after"][name],
             }
         )
-    codec = summary["codec"]
     table = format_rows(
         rows,
-        ["metric", "before (json, unbatched)", "after (binary, batched)"],
+        ["metric", "before (unbatched)", "after (batched)"],
         title=(
             f"RPC hot path ({'fast' if FAST_MODE else 'full'} mode): "
-            f"{summary['round_trip_improvement']}x fewer storage round trips/txn, "
-            f"codec {codec['codec_speedup']}x faster, "
-            f"frames {codec['frame_size_ratio']}x smaller"
+            f"{summary['round_trip_improvement']}x fewer storage round trips/txn"
         ),
     )
     emit("rpc_hotpath", table)
     emit_json("BENCH_rpc", summary)
 
-    # The tentpole's acceptance criterion: batching + coalescing must at
-    # least halve the wire round trips per committed transaction...
+    # The acceptance criterion: batching + coalescing must at least halve
+    # the wire round trips per committed transaction...
     assert summary["round_trip_improvement"] >= 2.0, summary
     # ... while moving the same storage work (ops are conserved, only the
-    # framing changes; background GC contributes a little slack)...
+    # framing changes; background GC contributes a little slack).
     assert summary["after"]["storage_ops_per_txn"] <= summary["before"]["storage_ops_per_txn"] * 1.5
-    # ... and the binary codec must beat JSON+base64 on payload-heavy frames.
-    assert codec["codec_speedup"] > 1.0
-    assert codec["frame_size_ratio"] > 1.0
 
 
 if __name__ == "__main__":

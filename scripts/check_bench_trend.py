@@ -199,17 +199,11 @@ GATED: dict[str, FileSpec] = {
     ),
     "BENCH_rpc.json": FileSpec(
         metrics=(
-            # Storage wire round trips per committed txn, JSON-unbatched
-            # over binary-batched.  A pure frame-count ratio, so it is
-            # scale-robust; the floor IS the PR's acceptance criterion
-            # (batching must at least halve the round trips).
+            # Storage wire round trips per committed txn, unbatched over
+            # batched.  A pure frame-count ratio, so it is scale-robust; the
+            # floor IS the acceptance criterion (batching must at least
+            # halve the round trips).
             Metric("round_trip_improvement", HIGHER, 0.30, floor=2.0),
-            # Codec wall-clock ratio on a payload-heavy batch frame: a
-            # same-machine ratio (noisy on shared runners), the floor says
-            # the binary codec must clearly beat JSON+base64.
-            Metric("codec.codec_speedup", HIGHER, 0.50, floor=1.5),
-            # Frame-size ratio is deterministic (base64 inflation removed).
-            Metric("codec.frame_size_ratio", HIGHER, 0.10, floor=1.2),
         ),
         scale_marker="fast_mode",
     ),

@@ -17,9 +17,8 @@ Two design rules keep it honest with the paper's "minimal overhead" claim:
   ``scripts/trace_report.py`` and by ``chrome://tracing`` / Perfetto.
 
 Causality crosses process boundaries as optional ``trace`` fields on the
-RPC messages (:mod:`repro.rpc.messages`); decode tolerates unknown fields,
-so mixed-version peers interoperate — an old peer silently drops the trace
-context and the transaction is unaffected.
+RPC messages (:mod:`repro.rpc.messages`); an empty ``trace`` (the field's
+default) starts a fresh trace and leaves the transaction unaffected.
 """
 
 from repro.observability.export import (

@@ -3,14 +3,13 @@
 The package turns the in-process metadata-plane strategy interfaces of PR 5
 into messages on sockets:
 
-* :mod:`repro.rpc.framing` — length-prefixed frames in two negotiated wire
-  formats (JSON, and a hybrid binary layout whose bulk bytes travel raw
-  after a compact header) and the bidirectional multiplexed
-  :class:`~repro.rpc.framing.RpcConnection` with writer coalescing and
-  per-connection wire counters.
-* :mod:`repro.rpc.messages` — versioned dataclass wire schemas with an
-  unknown-field-tolerant codec, so node/router binaries from adjacent
-  versions interoperate (including across the JSON/binary wire boundary).
+* :mod:`repro.rpc.framing` — length-prefixed frames in one hybrid layout (a
+  compact JSON header followed by the raw bulk bytes it references) and the
+  bidirectional multiplexed :class:`~repro.rpc.framing.RpcConnection` with
+  writer coalescing and per-connection wire counters.
+* :mod:`repro.rpc.messages` — dataclass wire schemas with an
+  unknown-field-tolerant codec (unknown fields are dropped, missing ones
+  take their defaults).
 * :mod:`repro.rpc.storage_client` — :class:`~repro.rpc.storage_client.RemoteStorage`,
   a native-async :class:`~repro.storage.base.StorageEngine` speaking storage
   ops to the router's shared storage service, coalescing concurrent ops
@@ -27,25 +26,18 @@ into messages on sockets:
 """
 
 from repro.rpc.framing import (
-    FORMAT_BINARY,
-    FORMAT_JSON,
-    SUPPORTED_WIRE_FORMATS,
     ConnectionStats,
     FrameTooLargeError,
     RpcConnection,
     RpcError,
 )
-from repro.rpc.messages import WIRE_VERSION, WireMessage, decode_body, encode_body
+from repro.rpc.messages import WireMessage, decode_body, encode_body
 
 __all__ = [
-    "FORMAT_BINARY",
-    "FORMAT_JSON",
-    "SUPPORTED_WIRE_FORMATS",
     "ConnectionStats",
     "FrameTooLargeError",
     "RpcConnection",
     "RpcError",
-    "WIRE_VERSION",
     "WireMessage",
     "decode_body",
     "encode_body",

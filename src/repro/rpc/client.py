@@ -19,7 +19,7 @@ import asyncio
 from repro.errors import AftError
 from repro.observability import trace as tr
 from repro.rpc import messages as m
-from repro.rpc.framing import FORMAT_BINARY, SUPPORTED_WIRE_FORMATS, RpcConnection, connect
+from repro.rpc.framing import RpcConnection, connect
 
 
 class AsyncRouterClient:
@@ -29,28 +29,9 @@ class AsyncRouterClient:
         self._conn = conn
 
     @classmethod
-    async def connect(
-        cls, host: str, port: int, wire_formats: tuple[str, ...] = SUPPORTED_WIRE_FORMATS
-    ) -> "AsyncRouterClient":
-        conn = await connect(host, port, name="client")
-        # A ``kind="client"`` hello negotiates the wire format without
-        # registering a cluster member.  An old router treats the unknown
-        # kind the same way (no token granted) and acks without a
-        # ``wire_format`` field, leaving the connection on JSON.
-        try:
-            ack = await conn.request(
-                m.Hello(node_id="client", kind="client", wire_formats=list(wire_formats)),
-                timeout=10.0,
-            )
-            if (
-                getattr(ack, "wire_format", "") == FORMAT_BINARY
-                and FORMAT_BINARY in wire_formats
-            ):
-                conn.wire_format = FORMAT_BINARY
-        except Exception:
-            # Negotiation is best-effort: the JSON wire always works.
-            pass
-        return cls(conn)
+    async def connect(cls, host: str, port: int) -> "AsyncRouterClient":
+        """Open a connection; nothing is sent until the first request."""
+        return cls(await connect(host, port, name="client"))
 
     async def close(self) -> None:
         await self._conn.close()

@@ -1,29 +1,25 @@
-"""Wire frames (JSON and hybrid-binary) and the multiplexed RPC connection.
+"""Wire frames and the multiplexed RPC connection.
 
-Every frame is a 4-byte big-endian length followed by one frame body in one
-of two formats, distinguished by the body's first byte:
-
-* **JSON** (first byte ``{``, the PR 7 wire): one UTF-8 JSON object —
-
-  ``{"id": 7, "re": null, "type": "storage", "v": 1, "body": {...}}``
-
-  with bulk bytes (storage values, commit records) base64-encoded in place.
-
-* **Binary** (first byte ``0x01``): a hybrid layout —
+Every frame is a 4-byte big-endian length followed by one frame body:
 
   ``[0x01][4B header len][header JSON][raw payload section]``
 
-  where the header is the same envelope object but with every bulk field
-  replaced by compact ``[offset, length]`` references into the raw payload
-  section (:func:`repro.rpc.messages.split_bulk`).  Values cross the wire as
-  the bytes they are: no base64 inflation, no JSON string escaping, and the
-  decoder slices payloads straight out of the frame buffer.
+The header is the JSON envelope object —
 
-Readers sniff the format per frame, so a connection can carry both; senders
-only emit binary after the peer advertised support during the ``hello``
-negotiation (:attr:`RpcConnection.wire_format`).  ``MAX_FRAME_BYTES`` is
-enforced on **both** sides: an oversized outgoing frame raises
-:class:`FrameTooLargeError` locally instead of poisoning the peer.
+  ``{"id": 7, "re": null, "type": "storage", "body": {...}}``
+
+— with every bulk field of the body (storage values, commit records)
+replaced by compact ``[offset, length]`` references into the raw payload
+section (:func:`repro.rpc.messages.split_bulk`).  Values cross the wire as
+the bytes they are: no base64 inflation, no JSON string escaping, and the
+decoder slices payloads straight out of the frame buffer.
+
+A body that does not start with the ``0x01`` tag, an oversized length prefix
+or an undecodable header is a protocol error: the reader fails every pending
+request with that :class:`RpcError` and closes the connection.
+``MAX_FRAME_BYTES`` is enforced on **both** sides: an oversized outgoing
+frame raises :class:`FrameTooLargeError` locally instead of poisoning the
+peer.
 
 ``id`` names a request awaiting a reply; a frame with ``re`` set is the
 reply to the request of that id.  Frames with neither are one-way
@@ -50,27 +46,21 @@ import json
 import socket
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
 from repro.errors import AftError
 from repro.rpc import messages
-from repro.rpc.messages import WIRE_VERSION, WireMessage
+from repro.rpc.messages import WireMessage
 
 #: Frames above this size are rejected — a corrupt length prefix otherwise
 #: reads as a multi-gigabyte allocation.  Enforced on receive *and* send.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Wire format names, as negotiated in ``hello`` / ``hello_ack``.
-FORMAT_JSON = "json"
-FORMAT_BINARY = "binary"
-SUPPORTED_WIRE_FORMATS = (FORMAT_JSON, FORMAT_BINARY)
-
 _LENGTH = struct.Struct(">I")
 _HEADER_LEN = struct.Struct(">I")
-#: First byte of a binary frame body.  Cannot collide with JSON: a JSON
-#: envelope always starts with ``{`` (0x7B).
-_BINARY_TAG = b"\x01"
+#: First byte of every frame body.
+_FRAME_TAG = b"\x01"
 
 
 class RpcError(AftError):
@@ -93,45 +83,39 @@ class FrameTooLargeError(RpcError):
 # --------------------------------------------------------------------- #
 # Frame codecs
 # --------------------------------------------------------------------- #
-def frame_bytes(envelope: dict[str, Any], wire_format: str = FORMAT_JSON) -> bytes:
+def frame_bytes(envelope: dict[str, Any]) -> bytes:
     """Encode one envelope into a length-prefixed frame.
 
     ``envelope["body"]`` is the canonical in-memory body (bulk fields hold
-    raw bytes); this function owns the per-format bulk conversion.
+    raw bytes); this function moves them into the raw payload section.
     """
     msg_type = envelope.get("type", "")
-    if wire_format == FORMAT_BINARY:
-        body = envelope.get("body")
-        if body is not None:
-            header_body, chunks, payload_size = messages.split_bulk(msg_type, body)
-            header = {**envelope, "body": header_body}
-        else:
-            header, chunks, payload_size = dict(envelope), [], 0
-        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        length = 1 + _HEADER_LEN.size + len(header_bytes) + payload_size
-        if length > MAX_FRAME_BYTES:
-            raise FrameTooLargeError(
-                f"outgoing {msg_type or 'reply'} frame of {length} bytes exceeds "
-                f"the {MAX_FRAME_BYTES}-byte limit"
-            )
-        return b"".join(
-            (_LENGTH.pack(length), _BINARY_TAG, _HEADER_LEN.pack(len(header_bytes)), header_bytes, *chunks)
-        )
     body = envelope.get("body")
     if body is not None:
-        envelope = {**envelope, "body": messages.body_to_jsonable(msg_type, body)}
-    payload = json.dumps(envelope, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
+        header_body, chunks, payload_size = messages.split_bulk(msg_type, body)
+        header = {**envelope, "body": header_body}
+    else:
+        header, chunks, payload_size = envelope, [], 0
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    length = 1 + _HEADER_LEN.size + len(header_bytes) + payload_size
+    if length > MAX_FRAME_BYTES:
         raise FrameTooLargeError(
-            f"outgoing {msg_type or 'reply'} frame of {len(payload)} bytes exceeds "
+            f"outgoing {msg_type or 'reply'} frame of {length} bytes exceeds "
             f"the {MAX_FRAME_BYTES}-byte limit"
         )
-    return _LENGTH.pack(len(payload)) + payload
+    return b"".join(
+        (_LENGTH.pack(length), _FRAME_TAG, _HEADER_LEN.pack(len(header_bytes)), header_bytes, *chunks)
+    )
 
 
 def decode_frame(data: bytes) -> dict[str, Any]:
-    """Decode one frame body (either format, sniffed off the first byte)."""
-    if data[:1] == _BINARY_TAG:
+    """Decode one frame body (the bytes after the length prefix).
+
+    Raises :class:`RpcError` on a body that is not a frame of this layout.
+    """
+    if data[:1] != _FRAME_TAG:
+        raise RpcError(f"frame starts with tag {data[:1]!r}, expected {_FRAME_TAG!r}")
+    try:
         (header_len,) = _HEADER_LEN.unpack_from(data, 1)
         header_end = 1 + _HEADER_LEN.size + header_len
         envelope = json.loads(data[1 + _HEADER_LEN.size : header_end].decode("utf-8"))
@@ -139,22 +123,9 @@ def decode_frame(data: bytes) -> dict[str, Any]:
         if body is not None:
             payload = memoryview(data)[header_end:]
             envelope["body"] = messages.join_bulk(envelope.get("type", ""), body, payload)
-        return envelope
-    envelope = json.loads(data.decode("utf-8"))
-    body = envelope.get("body")
-    if body is not None:
-        envelope["body"] = messages.body_from_jsonable(envelope.get("type", ""), body)
+    except (struct.error, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise RpcError(f"undecodable frame: {exc!r}") from exc
     return envelope
-
-
-async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any]:
-    """Read one length-prefixed frame (raises ``IncompleteReadError`` at EOF)."""
-    header = await reader.readexactly(_LENGTH.size)
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise RpcError(f"frame of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte limit")
-    payload = await reader.readexactly(length)
-    return decode_frame(payload)
 
 
 @dataclass
@@ -171,7 +142,6 @@ class ConnectionStats:
     #: ``drain()`` calls on the writer; ``frames_sent / drains`` is the
     #: writer-coalescing factor (frames that shared one flush).
     drains: int = 0
-    extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -182,7 +152,6 @@ class ConnectionStats:
             "batched_ops_out": self.batched_ops_sent,
             "batched_ops_in": self.batched_ops_received,
             "drains": self.drains,
-            **self.extra,
         }
 
 
@@ -212,10 +181,6 @@ class RpcConnection:
         #: Callback invoked once when the connection drops (router uses it to
         #: deregister the session).
         self.on_close: Callable[["RpcConnection"], None] | None = None
-        #: Outgoing frame format.  Starts at the universally-decodable JSON
-        #: wire; flipped to binary after ``hello`` negotiation confirms the
-        #: peer can sniff it.  Incoming frames are always sniffed per frame.
-        self.wire_format = FORMAT_JSON
         self.stats = ConnectionStats()
         #: Writer-coalescing queue: frames append here, and whichever task
         #: finds no flush in progress drains the whole queue with a single
@@ -256,7 +221,7 @@ class RpcConnection:
     async def _send(self, envelope: dict[str, Any]) -> None:
         if self._closed:
             raise ConnectionClosedError(f"connection {self.name or self.peername()} is closed")
-        data = frame_bytes(envelope, self.wire_format)
+        data = frame_bytes(envelope)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += len(data)
         self._send_queue.append(data)
@@ -286,16 +251,15 @@ class RpcConnection:
 
         Error replies re-raise as the matching exception class; a dropped
         connection fails every outstanding request with
-        :class:`ConnectionClosedError`.
+        :class:`ConnectionClosedError`, a malformed incoming frame with the
+        :class:`RpcError` that names it.
         """
-        msg_type, version, body = messages.encode_body(message)
+        msg_type, body = messages.encode_body(message)
         request_id = next(self._ids)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
         try:
-            await self._send(
-                {"id": request_id, "type": msg_type, "v": version, "body": body}
-            )
+            await self._send({"id": request_id, "type": msg_type, "body": body})
             if timeout is not None:
                 return await asyncio.wait_for(future, timeout)
             return await future
@@ -308,13 +272,14 @@ class RpcConnection:
 
     async def notify(self, message: WireMessage) -> None:
         """Send a one-way message (no reply expected)."""
-        msg_type, version, body = messages.encode_body(message)
-        await self._send({"type": msg_type, "v": version, "body": body})
+        msg_type, body = messages.encode_body(message)
+        await self._send({"type": msg_type, "body": body})
 
     # ------------------------------------------------------------------ #
     # Receiving
     # ------------------------------------------------------------------ #
     async def _read_loop(self) -> None:
+        error: RpcError | None = None
         try:
             while True:
                 header = await self._reader.readexactly(_LENGTH.size)
@@ -329,10 +294,12 @@ class RpcConnection:
                 self._dispatch(decode_frame(payload))
         except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
             pass
-        except asyncio.CancelledError:  # pragma: no cover - shutdown path
-            raise
+        except RpcError as exc:
+            # A protocol error: the stream cannot be resynchronised, so the
+            # connection closes and every pending request learns why.
+            error = exc
         finally:
-            self._shutdown()
+            self._shutdown(error)
 
     def _dispatch(self, envelope: dict[str, Any]) -> None:
         reply_to = envelope.get("re")
@@ -346,9 +313,7 @@ class RpcConnection:
             else:
                 try:
                     future.set_result(
-                        messages.decode_body(
-                            envelope.get("type", ""), envelope.get("v", 1), envelope.get("body", {})
-                        )
+                        messages.decode_body(envelope.get("type", ""), envelope.get("body", {}))
                     )
                 except Exception as exc:  # malformed reply
                     future.set_exception(RpcError(f"undecodable reply: {exc}"))
@@ -365,16 +330,12 @@ class RpcConnection:
         try:
             if self._handler is None:
                 raise RpcError("peer sent a request but this side has no handler")
-            message = messages.decode_body(
-                envelope.get("type", ""), envelope.get("v", 1), envelope.get("body", {})
-            )
+            message = messages.decode_body(envelope.get("type", ""), envelope.get("body", {}))
             result = await self._handler(self, message)
             if request_id is not None:
                 reply = result if result is not None else messages.Ok()
-                msg_type, version, body = messages.encode_body(reply)
-                await self._send(
-                    {"re": request_id, "type": msg_type, "v": version, "body": body}
-                )
+                msg_type, body = messages.encode_body(reply)
+                await self._send({"re": request_id, "type": msg_type, "body": body})
         except Exception as exc:
             if request_id is not None and not self._closed:
                 try:
@@ -385,14 +346,14 @@ class RpcConnection:
     # ------------------------------------------------------------------ #
     # Teardown
     # ------------------------------------------------------------------ #
-    def _shutdown(self) -> None:
+    def _shutdown(self, error: RpcError | None = None) -> None:
         if self._closed:
             return
         self._closed = True
         self._send_queue.clear()
         for future in self._pending.values():
             if not future.done():
-                future.set_exception(ConnectionClosedError("connection lost"))
+                future.set_exception(error or ConnectionClosedError("connection lost"))
         self._pending.clear()
         try:
             self._writer.close()

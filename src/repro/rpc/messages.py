@@ -1,64 +1,32 @@
-"""Versioned wire schemas for the distributed runtime.
+"""Wire schemas for the distributed runtime.
 
-Every payload crossing a socket is a dataclass here, serialised to a plain
-JSON object by :func:`encode_body` and reconstructed by :func:`decode_body`.
-Two compatibility rules make node/router binaries from adjacent versions
-interoperate:
+Every payload crossing a socket is a dataclass here, turned into a plain
+body object by :func:`encode_body` and reconstructed by :func:`decode_body`.
+The frame envelope carries the message's ``type`` tag and nothing else
+about its schema:
 
-* **Unknown fields are ignored on decode.**  A newer peer may add fields;
-  an older peer simply drops them (``from_body`` filters the body against
-  its declared dataclass fields).
-* **New fields must carry defaults.**  An older peer's message omits them;
-  the dataclass default fills the gap.
-
-Messages carry a schema ``VERSION`` (bumped only on *incompatible* change —
-a removed or re-typed field); the frame envelope transports it alongside the
-``type`` tag, and a peer receiving a message whose major version it does not
-know rejects the frame rather than mis-parsing it.
+* **An unknown type is rejected** — the peer speaks another protocol.
+* **Unknown fields are dropped on decode** (``from_body`` filters the body
+  against the declared dataclass fields), and **every field carries a
+  default**, which fills in for a field the body omits.
 
 **Bulk bytes are first-class.**  Fields holding storage payloads or
 serialised commit records (declared per message via ``BYTES_MAP_FIELDS`` /
-``BYTES_LIST_FIELDS``) carry raw ``bytes`` in memory.  How they cross the
-wire depends on the negotiated frame format (:mod:`repro.rpc.framing`):
-
-* the legacy **JSON** wire base64-encodes them in place
-  (:func:`body_to_jsonable` / :func:`body_from_jsonable`) — ~33% size
-  inflation plus encode cost, kept for compatibility with old peers;
-* the **binary** wire moves them into a raw payload section after the JSON
-  header, replaced in the header by compact ``[offset, length]`` references
-  (:func:`split_bulk` / :func:`join_bulk`) — no base64, no JSON string
-  escaping, and decode slices straight out of the frame buffer.
+``BYTES_LIST_FIELDS``) carry raw ``bytes`` in memory and cross the wire in
+the frame's raw payload section (:mod:`repro.rpc.framing`):
+:func:`split_bulk` replaces them in the JSON header with compact
+``[offset, length]`` references, and :func:`join_bulk` slices them back out
+of the frame buffer.
 """
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Mapping
 
 from repro import errors
 from repro.core.commit_set import CommitRecord
 from repro.storage.base import StorageOp, StorageOpResult
-
-#: Protocol-level version of the frame envelope itself.
-WIRE_VERSION = 1
-
-
-def b64encode(value: bytes) -> str:
-    return base64.b64encode(value).decode("ascii")
-
-
-def b64decode(value: str) -> bytes:
-    return base64.b64decode(value.encode("ascii"))
-
-
-def _jsonable_values(values: Mapping[str, bytes | None]) -> dict[str, str | None]:
-    """Base64 a key->bytes-or-missing mapping for the JSON wire."""
-    return {key: (b64encode(v) if v is not None else None) for key, v in values.items()}
-
-
-def _values_from_jsonable(values: Mapping[str, str | None]) -> dict[str, bytes | None]:
-    return {key: (b64decode(v) if v is not None else None) for key, v in values.items()}
 
 
 def encode_records(records: list[CommitRecord]) -> list[bytes]:
@@ -72,15 +40,12 @@ def decode_records(blobs: list[bytes]) -> list[CommitRecord]:
 
 @dataclass
 class WireMessage:
-    """Base class: a typed, versioned JSON-object payload."""
+    """Base class: a typed payload whose fields form a JSON-object body."""
 
     #: Wire tag, unique across the protocol (set by every subclass).
     TYPE: ClassVar[str] = ""
-    #: Schema version of this message type.
-    VERSION: ClassVar[int] = 1
     #: Fields holding ``dict[str, bytes | None]`` payload maps.  These are the
-    #: frame's *bulk section*: base64 on the JSON wire, raw payload bytes on
-    #: the binary wire.
+    #: frame's *bulk section*: raw bytes in the frame's payload section.
     BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ()
     #: Fields holding ``list[bytes]`` blob sequences (same bulk treatment).
     BYTES_LIST_FIELDS: ClassVar[tuple[str, ...]] = ()
@@ -93,9 +58,8 @@ class WireMessage:
     def from_body(cls, body: Mapping[str, Any]) -> "WireMessage":
         """Reconstruct from a body object, ignoring unknown fields.
 
-        The filter is the forward-compatibility contract: bodies produced by
-        a newer schema simply lose their extra fields here instead of
-        crashing the older binary.
+        Fields the body carries that this dataclass does not declare are
+        dropped; fields it omits take their defaults.
         """
         known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in body.items() if key in known})
@@ -106,27 +70,16 @@ class WireMessage:
 # --------------------------------------------------------------------- #
 @dataclass
 class Hello(WireMessage):
-    """Peer registration. ``kind`` is ``"node"``, ``"standby"``, or ``"client"``.
-
-    ``wire_formats`` advertises the frame formats this peer can *decode*
-    (always including ``"json"``).  An old peer omits the field — the default
-    — and therefore never gets a binary frame; an old *receiver* drops the
-    unknown field and replies without ``wire_format``, which pins the
-    connection to JSON.  Negotiation costs nothing beyond the fields.
-    """
+    """Node registration. ``kind`` is ``"node"`` or ``"standby"``."""
 
     TYPE: ClassVar[str] = "hello"
     node_id: str = ""
     kind: str = "node"
-    wire_formats: list = field(default_factory=lambda: ["json"])
 
 
 @dataclass
 class HelloAck(WireMessage):
-    """Router's admission reply: fencing token epoch, lease cadence, and the
-    negotiated wire capabilities (``wire_format`` both peers will send;
-    ``features`` the optional protocol extensions the router serves, e.g.
-    ``"storage_batch"``)."""
+    """Router's admission reply: fencing token epoch and lease cadence."""
 
     TYPE: ClassVar[str] = "hello_ack"
     node_id: str = ""
@@ -135,8 +88,6 @@ class HelloAck(WireMessage):
     epoch: int = 0
     lease_duration: float = 5.0
     heartbeat_interval: float = 1.0
-    wire_format: str = "json"
-    features: list = field(default_factory=list)
 
 
 @dataclass
@@ -174,8 +125,8 @@ class PublishCommits(WireMessage):
     BYTES_LIST_FIELDS: ClassVar[tuple[str, ...]] = ("records",)
     node_id: str = ""
     records: list = field(default_factory=list)
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -207,8 +158,8 @@ class StorageRequest(WireMessage):
     keys: list = field(default_factory=list)
     items: dict = field(default_factory=dict)
     prefix: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -229,7 +180,7 @@ class StorageBatch(WireMessage):
     ``ops`` is a list of compact descriptors ``{"op", "keys", "prefix",
     "v"}`` where ``v`` holds per-key indexes into the shared ``blobs``
     table for write values.  The flat blob table is what lets the batch ride
-    the binary wire's bulk section untouched; build/parse through
+    the frame's bulk section untouched; build/parse through
     :func:`encode_storage_ops` / :func:`decode_storage_ops`.
     """
 
@@ -237,8 +188,8 @@ class StorageBatch(WireMessage):
     BYTES_LIST_FIELDS: ClassVar[tuple[str, ...]] = ("blobs",)
     ops: list = field(default_factory=list)
     blobs: list = field(default_factory=list)
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -268,8 +219,8 @@ class ClientStart(WireMessage):
 
     TYPE: ClassVar[str] = "client_start"
     txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -285,8 +236,8 @@ class ClientGet(WireMessage):
     TYPE: ClassVar[str] = "client_get"
     txid: str = ""
     keys: list = field(default_factory=list)
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -305,8 +256,8 @@ class ClientPut(WireMessage):
     BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ("items",)
     txid: str = ""
     items: dict = field(default_factory=dict)
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -314,8 +265,8 @@ class ClientPut(WireMessage):
 class ClientCommit(WireMessage):
     TYPE: ClassVar[str] = "client_commit"
     txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -332,8 +283,8 @@ class ClientCommitted(WireMessage):
 class ClientAbort(WireMessage):
     TYPE: ClassVar[str] = "client_abort"
     txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -343,8 +294,8 @@ class TxnStart(WireMessage):
 
     TYPE: ClassVar[str] = "txn_start"
     txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -353,8 +304,8 @@ class TxnGet(WireMessage):
     TYPE: ClassVar[str] = "txn_get"
     txid: str = ""
     keys: list = field(default_factory=list)
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -364,8 +315,8 @@ class TxnPut(WireMessage):
     BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ("items",)
     txid: str = ""
     items: dict = field(default_factory=dict)
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -373,8 +324,8 @@ class TxnPut(WireMessage):
 class TxnCommit(WireMessage):
     TYPE: ClassVar[str] = "txn_commit"
     txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -382,8 +333,8 @@ class TxnCommit(WireMessage):
 class TxnAbort(WireMessage):
     TYPE: ClassVar[str] = "txn_abort"
     txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id").
-    #: Old peers drop the unknown field on decode; empty means untraced.
+    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
+    #: means untraced.
     trace: str = ""
 
 
@@ -405,12 +356,11 @@ class InfoReply(WireMessage):
     epoch: int = 0
     commits: int = 0
     #: Per-connection wire counters, node_id -> {frames_in, frames_out,
-    #: bytes_in, bytes_out, batched_ops_in, batched_ops_out, drains,
-    #: wire_format} — the router's view of each peer's protocol traffic.
+    #: bytes_in, bytes_out, batched_ops_in, batched_ops_out, drains} — the
+    #: router's view of each peer's protocol traffic.
     wire: dict = field(default_factory=dict)
     #: The router's metrics-registry snapshot (counters/gauges/histograms
     #: from :mod:`repro.observability.metrics`) — the over-the-wire scrape.
-    #: Old routers omit the field; old clients drop it.
     metrics: dict = field(default_factory=dict)
 
 
@@ -428,9 +378,7 @@ class Nemesis(WireMessage):
     dropped entirely — a slow or partitioned broadcast link.  When
     ``router_only`` is set the message is not forwarded to the node process
     at all, so frame faults compose with (and heal independently of) the
-    heartbeat switch.  Old routers/nodes ignore the extra fields
-    (unknown-field-tolerant decode), degrading to the heartbeat-only
-    nemesis.
+    heartbeat switch.
     """
 
     TYPE: ClassVar[str] = "nemesis"
@@ -478,22 +426,20 @@ MESSAGE_TYPES: dict[str, type[WireMessage]] = {
 }
 
 
-def encode_body(message: WireMessage) -> tuple[str, int, dict[str, Any]]:
-    """Return the ``(type, version, body)`` triple the frame envelope carries."""
-    return message.TYPE, message.VERSION, message.to_body()
+def encode_body(message: WireMessage) -> tuple[str, dict[str, Any]]:
+    """Return the ``(type, body)`` pair the frame envelope carries."""
+    return message.TYPE, message.to_body()
 
 
-def decode_body(msg_type: str, version: int, body: Mapping[str, Any]) -> WireMessage:
-    """Reconstruct a message, tolerating unknown fields and newer minor schemas.
+def decode_body(msg_type: str, body: Mapping[str, Any]) -> WireMessage:
+    """Reconstruct a message of a registered type from its body.
 
-    An unknown *type* raises — the peer speaks a protocol we do not — but an
-    unknown *field* within a known type is silently dropped, which is what
-    lets adjacent versions interoperate.
+    An unknown *type* raises — the peer speaks a protocol we do not — while
+    an unknown *field* within a known type is dropped (``from_body``).
     """
     cls = MESSAGE_TYPES.get(msg_type)
     if cls is None:
         raise errors.AftError(f"unknown wire message type {msg_type!r}")
-    del version  # schema versions are additive today; kept in the envelope
     return cls.from_body(body)
 
 
@@ -507,40 +453,10 @@ def _bulk_spec(msg_type: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return cls.BYTES_MAP_FIELDS, cls.BYTES_LIST_FIELDS
 
 
-def body_to_jsonable(msg_type: str, body: Mapping[str, Any]) -> dict[str, Any]:
-    """JSON-wire view of a body: bulk bytes become base64 strings in place."""
-    map_fields, list_fields = _bulk_spec(msg_type)
-    if not map_fields and not list_fields:
-        return dict(body)
-    out = dict(body)
-    for name in map_fields:
-        if name in out:
-            out[name] = _jsonable_values(out[name])
-    for name in list_fields:
-        if name in out:
-            out[name] = [b64encode(bytes(blob)) for blob in out[name]]
-    return out
-
-
-def body_from_jsonable(msg_type: str, body: Mapping[str, Any]) -> dict[str, Any]:
-    """Inverse of :func:`body_to_jsonable` (unknown types pass through)."""
-    map_fields, list_fields = _bulk_spec(msg_type)
-    if not map_fields and not list_fields:
-        return dict(body)
-    out = dict(body)
-    for name in map_fields:
-        if name in out:
-            out[name] = _values_from_jsonable(out[name])
-    for name in list_fields:
-        if name in out:
-            out[name] = [b64decode(blob) for blob in out[name]]
-    return out
-
-
 def split_bulk(
     msg_type: str, body: Mapping[str, Any]
 ) -> tuple[dict[str, Any], list[bytes], int]:
-    """Binary-wire split: bulk bytes move to a payload section.
+    """Move bulk bytes out of a body into a payload section.
 
     Returns ``(header_body, chunks, payload_size)`` where bulk fields in
     ``header_body`` are replaced by ``[offset, length]`` references (``None``

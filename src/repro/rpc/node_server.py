@@ -38,14 +38,7 @@ from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
-from repro.rpc.framing import (
-    FORMAT_BINARY,
-    FORMAT_JSON,
-    SUPPORTED_WIRE_FORMATS,
-    RpcConnection,
-    connect,
-)
-from repro.rpc.router import STORAGE_BATCH_FEATURE
+from repro.rpc.framing import RpcConnection, connect
 from repro.rpc.storage_client import RemoteStorage
 
 #: How often drained commits are published to the router's commit hub.
@@ -62,7 +55,6 @@ class NodeServer:
         router_port: int = 7400,
         kind: str = "node",
         config: AftConfig | None = None,
-        wire_formats: tuple[str, ...] = SUPPORTED_WIRE_FORMATS,
         enable_storage_batching: bool = True,
         coalesce_window: float = 0.0,
     ) -> None:
@@ -73,8 +65,6 @@ class NodeServer:
         self.router_port = router_port
         self.kind = kind
         self.config = config if config is not None else AftConfig()
-        #: Formats this node offers in its ``hello`` (the router picks).
-        self.wire_formats = tuple(wire_formats)
         self.enable_storage_batching = enable_storage_batching
         self.coalesce_window = coalesce_window
 
@@ -104,17 +94,10 @@ class NodeServer:
         )
         self.conn.on_close = lambda _conn: self._closed.set()
 
-        ack = await self.conn.request(
-            m.Hello(node_id=self.node_id, kind=self.kind, wire_formats=list(self.wire_formats))
-        )
+        ack = await self.conn.request(m.Hello(node_id=self.node_id, kind=self.kind))
         if not isinstance(ack, m.HelloAck):
             raise AftError(f"unexpected registration reply {type(ack).__name__}")
         self.heartbeat_interval = ack.heartbeat_interval
-        # Adopt the negotiated wire format.  An old router's ack has no
-        # ``wire_format`` field (decode defaults it to "json"), so the
-        # connection simply stays on the JSON wire.
-        if ack.wire_format == FORMAT_BINARY and FORMAT_BINARY in self.wire_formats:
-            self.conn.wire_format = FORMAT_BINARY
 
         storage = RemoteStorage(
             self.conn,
@@ -122,10 +105,7 @@ class NodeServer:
             request_timeout=self.config.storage_request_timeout,
             coalesce_window=self.coalesce_window,
         )
-        # Batched storage groups need a router that understands the frame.
-        storage.supports_storage_batches = (
-            self.enable_storage_batching and STORAGE_BATCH_FEATURE in (ack.features or [])
-        )
+        storage.supports_storage_batches = self.enable_storage_batching
         self.storage = storage
         self.node = AftNode(
             storage=storage,
@@ -289,15 +269,9 @@ def main(argv: list[str] | None = None) -> int:
         "(0 waits forever; default: AftConfig.storage_request_timeout)",
     )
     parser.add_argument(
-        "--wire-format",
-        choices=[FORMAT_BINARY, FORMAT_JSON],
-        default=FORMAT_BINARY,
-        help="most capable wire format to offer (json emulates a PR 7 node)",
-    )
-    parser.add_argument(
         "--no-storage-batching",
         action="store_true",
-        help="issue one storage frame per op even if the router batches",
+        help="issue one storage frame per op instead of storage_batch frames",
     )
     parser.add_argument(
         "--coalesce-window",
@@ -341,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
             router_port=args.router_port,
             kind=args.kind,
             config=config,
-            wire_formats=(
-                SUPPORTED_WIRE_FORMATS if args.wire_format == FORMAT_BINARY else (FORMAT_JSON,)
-            ),
             enable_storage_batching=not args.no_storage_batching,
             coalesce_window=args.coalesce_window,
         )

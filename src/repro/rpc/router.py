@@ -50,12 +50,9 @@ from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
-from repro.rpc.framing import FORMAT_BINARY, FORMAT_JSON, RpcConnection
+from repro.rpc.framing import RpcConnection
 from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
 from repro.storage.memory import InMemoryStorage
-
-#: The ``hello_ack.features`` flag advertising the batched storage service.
-STORAGE_BATCH_FEATURE = "storage_batch"
 
 _COMMIT_KEY_PREFIXES = (COMMIT_PREFIX + KEY_SEPARATOR, PARTITIONED_PREFIX + ".")
 
@@ -93,8 +90,6 @@ class RouterServer:
         storage: StorageEngine | None = None,
         lease_duration: float = 5.0,
         heartbeat_interval: float = 1.0,
-        wire_formats: tuple[str, ...] = (FORMAT_JSON, FORMAT_BINARY),
-        enable_storage_batches: bool = True,
         storage_batch_concurrency: int = 16,
         observability: ObservabilityConfig | None = None,
     ) -> None:
@@ -105,10 +100,6 @@ class RouterServer:
         self.storage = storage if storage is not None else InMemoryStorage()
         self.lease_duration = lease_duration
         self.heartbeat_interval = heartbeat_interval
-        #: Formats this router will *send* (a JSON-only tuple emulates an old
-        #: router: peers offering binary fall back via the negotiation).
-        self.wire_formats = tuple(wire_formats)
-        self.enable_storage_batches = enable_storage_batches
         self.storage_batch_concurrency = max(1, storage_batch_concurrency)
         self.fence = EpochFence()
 
@@ -296,7 +287,7 @@ class RouterServer:
                 epoch=self.fence.epoch,
                 commits=self._commits_seen,
                 wire={
-                    node_id: {"format": s.conn.wire_format, **s.conn.stats.as_dict()}
+                    node_id: s.conn.stats.as_dict()
                     for node_id, s in sorted(self._sessions.items())
                 },
                 metrics=self.metrics.snapshot(),
@@ -314,23 +305,6 @@ class RouterServer:
 
     # ------------------------------------------------------------------ #
     def _handle_hello(self, conn: RpcConnection, msg: m.Hello) -> m.HelloAck:
-        # Wire negotiation: binary only when both sides allow it.  An old
-        # peer's Hello simply lacks ``wire_formats`` (unknown-field-tolerant
-        # decode defaults it to ["json"]), so the fallback is automatic —
-        # and the ack from an old *router* lacks ``wire_format``, leaving
-        # the peer on JSON too.
-        offered = set(msg.wire_formats or [FORMAT_JSON])
-        chosen = (
-            FORMAT_BINARY
-            if FORMAT_BINARY in offered and FORMAT_BINARY in self.wire_formats
-            else FORMAT_JSON
-        )
-        conn.wire_format = chosen
-        features = [STORAGE_BATCH_FEATURE] if self.enable_storage_batches else []
-        if msg.kind == "client":
-            # Clients negotiate the wire but are not cluster members: no
-            # session, no lease, no fencing token.
-            return m.HelloAck(node_id=msg.node_id, wire_format=chosen, features=features)
         session = _NodeSession(conn=conn, node_id=msg.node_id, kind=msg.kind)
         epoch = 0
         if msg.kind == "node":
@@ -343,8 +317,6 @@ class RouterServer:
             epoch=epoch,
             lease_duration=self.lease_duration,
             heartbeat_interval=self.heartbeat_interval,
-            wire_format=chosen,
-            features=features,
         )
 
     async def _handle_publish(self, msg: m.PublishCommits) -> None:
@@ -517,17 +489,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lease-duration", type=float, default=5.0)
     parser.add_argument("--heartbeat-interval", type=float, default=1.0)
     parser.add_argument(
-        "--wire-format",
-        choices=[FORMAT_BINARY, FORMAT_JSON],
-        default=FORMAT_BINARY,
-        help="most capable wire format to negotiate (json emulates a PR 7 router)",
-    )
-    parser.add_argument(
-        "--no-storage-batching",
-        action="store_true",
-        help="do not advertise the storage_batch feature",
-    )
-    parser.add_argument(
         "--trace-dir",
         default=None,
         help="enable tracing and append span/metrics JSONL dumps to this directory",
@@ -546,12 +507,6 @@ def main(argv: list[str] | None = None) -> int:
             port=args.port,
             lease_duration=args.lease_duration,
             heartbeat_interval=args.heartbeat_interval,
-            wire_formats=(
-                (FORMAT_JSON, FORMAT_BINARY)
-                if args.wire_format == FORMAT_BINARY
-                else (FORMAT_JSON,)
-            ),
-            enable_storage_batches=not args.no_storage_batching,
             observability=ObservabilityConfig(
                 enabled=bool(args.trace_dir or args.metrics_interval > 0),
                 trace_dir=args.trace_dir,

@@ -7,10 +7,10 @@ groups out as plain coroutines on the node's event loop with no executor
 hop.  That composes the whole PR stack: IO plans (PR 1) route through the
 async core (PR 6) onto real sockets (PR 7).
 
-On top of that sits the wire hot-path optimisation: when the router
-advertised the ``storage_batch`` feature (see the ``hello`` negotiation),
-``supports_storage_batches`` flips on and every operation routes through a
-cross-transaction :class:`_OpCoalescer`.  Ops submitted within one
+On top of that sits the wire hot-path optimisation: when the node enables
+storage batching (the default; ``repro-node --no-storage-batching`` turns it
+off), ``supports_storage_batches`` is on and every operation routes through
+a cross-transaction :class:`_OpCoalescer`.  Ops submitted within one
 event-loop tick (or a configurable window) are packed into a single
 ``storage_batch`` frame — an IO-plan stage's whole request group crosses
 the wire as one round trip, and independent single ops from *concurrent*
@@ -149,8 +149,8 @@ class RemoteStorage(StorageEngine):
         #: Socket round-trip budget per storage op / batch.
         self.request_timeout: float | None = request_timeout
         self._coalescer = _OpCoalescer(conn, self, coalesce_window, coalesce_max_ops)
-        #: Flipped on by the node entrypoint once the ``hello`` negotiation
-        #: confirms the router accepts ``storage_batch`` frames.
+        #: Set by the node entrypoint from ``NodeServer.enable_storage_batching``
+        #: (the router serves both ``storage`` and ``storage_batch`` frames).
         self.supports_storage_batches = False
 
     # ------------------------------------------------------------------ #

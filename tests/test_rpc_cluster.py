@@ -12,9 +12,8 @@ acceptance bar from the paper's perspective:
 * the nemesis scenario: a node whose heartbeats are paused is declared
   failed, a standby is promoted, and the old node's late commit-record
   write is rejected by its stale epoch token;
-* both negotiated wire formats (JSON and binary) carry all of the above,
-  and mixed-version pairings (a binary-capable node against a JSON-only
-  router, and vice versa) fall back cleanly.
+* both storage frame shapes — ops coalesced into ``storage_batch`` frames,
+  and one ``storage`` frame per op — carry all of the above.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.consistency.metadata import TaggedValue
 from repro.errors import FencedNodeError, UnknownTransactionError
 from repro.ids import TransactionId
 from repro.rpc.client import AsyncRouterClient
-from repro.rpc.framing import FORMAT_BINARY, FORMAT_JSON, SUPPORTED_WIRE_FORMATS
 from repro.rpc.node_server import NodeServer
 from repro.rpc.router import RouterServer
 
@@ -43,20 +41,16 @@ class SocketCluster:
         standbys: int = 0,
         lease_duration: float = 0.6,
         heartbeat_interval: float = 0.1,
-        router_wire_formats: tuple[str, ...] = (FORMAT_JSON, FORMAT_BINARY),
-        node_wire_formats: tuple[str, ...] = SUPPORTED_WIRE_FORMATS,
-        enable_storage_batches: bool = True,
+        enable_storage_batching: bool = True,
     ) -> None:
         self.router = RouterServer(
             port=0,
             lease_duration=lease_duration,
             heartbeat_interval=heartbeat_interval,
-            wire_formats=router_wire_formats,
-            enable_storage_batches=enable_storage_batches,
         )
         self.n_nodes = n_nodes
         self.n_standbys = standbys
-        self.node_wire_formats = node_wire_formats
+        self.enable_storage_batching = enable_storage_batching
         self.nodes: list[NodeServer] = []
         self.standbys: list[NodeServer] = []
         self.client: AsyncRouterClient | None = None
@@ -65,7 +59,9 @@ class SocketCluster:
         await self.router.start()
         for i in range(self.n_nodes):
             node = NodeServer(
-                f"n{i}", router_port=self.router.port, wire_formats=self.node_wire_formats
+                f"n{i}",
+                router_port=self.router.port,
+                enable_storage_batching=self.enable_storage_batching,
             )
             await node.start()
             self.nodes.append(node)
@@ -74,7 +70,7 @@ class SocketCluster:
                 f"s{i}",
                 router_port=self.router.port,
                 kind="standby",
-                wire_formats=self.node_wire_formats,
+                enable_storage_batching=self.enable_storage_batching,
             )
             await standby.start()
             self.standbys.append(standby)
@@ -90,18 +86,11 @@ class SocketCluster:
         await self.router.stop()
 
 
-#: Wire pairings every end-to-end scenario must survive: the negotiated
-#: binary fast path, a forced-JSON cluster (both sides old), and the two
-#: mixed-version pairings (one side old, negotiation falls back to JSON).
+#: Storage frame shapes every end-to-end scenario must survive: ops coalesced
+#: into ``storage_batch`` frames (the default), and one frame per op.
 WIRE_MATRIX = {
-    "binary": dict(),
-    "json": dict(
-        router_wire_formats=(FORMAT_JSON,),
-        node_wire_formats=(FORMAT_JSON,),
-        enable_storage_batches=False,
-    ),
-    "new-node-old-router": dict(router_wire_formats=(FORMAT_JSON,), enable_storage_batches=False),
-    "old-node-new-router": dict(node_wire_formats=(FORMAT_JSON,)),
+    "batched": dict(),
+    "unbatched": dict(enable_storage_batching=False),
 }
 
 
@@ -287,63 +276,20 @@ class TestWireNegotiation:
                     await client.put(tx, f"neg:{i}", b"x" * 64)
                     await client.commit_transaction(tx)
                 for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_BINARY
                     assert node.storage.supports_storage_batches
                 info = await client.info()
                 # Router-side counters prove ops actually crossed batched.
                 assert set(info.wire) == {"n0", "n1"}
                 for counters in info.wire.values():
-                    assert counters["format"] == FORMAT_BINARY
                     assert counters["frames_in"] > 0 and counters["frames_out"] > 0
                     assert counters["bytes_in"] > 0 and counters["bytes_out"] > 0
                 assert sum(c["batched_ops_in"] for c in info.wire.values()) > 0
 
         asyncio.run(scenario())
 
-    def test_binary_capable_node_falls_back_against_json_only_router(self):
-        """The mixed-version pairing: new node, old (PR 7-era) router."""
-
-        async def scenario():
-            async with SocketCluster(
-                n_nodes=2,
-                router_wire_formats=(FORMAT_JSON,),
-                enable_storage_batches=False,
-            ) as cluster:
-                client = cluster.client
-                tx = await client.start_transaction()
-                await client.put(tx, "fallback", b"still works")
-                await client.commit_transaction(tx)
-                tx = await client.start_transaction()
-                assert await client.get(tx, "fallback") == b"still works"
-                await client.commit_transaction(tx)
-                for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_JSON
-                    assert not node.storage.supports_storage_batches
-                info = await client.info()
-                assert all(c["format"] == FORMAT_JSON for c in info.wire.values())
-                assert all(c["batched_ops_in"] == 0 for c in info.wire.values())
-
-        asyncio.run(scenario())
-
-    def test_json_only_node_against_binary_router(self):
-        """The other mixed-version pairing: old node, new router."""
-
-        async def scenario():
-            async with SocketCluster(
-                n_nodes=2, node_wire_formats=(FORMAT_JSON,)
-            ) as cluster:
-                client = cluster.client
-                tx = await client.start_transaction()
-                await client.put(tx, "old-node", b"ok")
-                await client.commit_transaction(tx)
-                for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_JSON
-
-        asyncio.run(scenario())
-
     def test_batching_disabled_still_serves(self):
         async def scenario():
-            async with SocketCluster(n_nodes=2, enable_storage_batches=False) as cluster:
+            async with SocketCluster(n_nodes=2, enable_storage_batching=False) as cluster:
                 client = cluster.client
                 tx = await client.start_transaction()
                 await client.put_many(tx, {"a": b"1", "b": b"2"})
@@ -352,9 +298,21 @@ class TestWireNegotiation:
                 values = await client.get_many(tx, ["a", "b"])
                 assert values == {"a": b"1", "b": b"2"}
                 await client.commit_transaction(tx)
-                # Binary wire still negotiated; only the batch feature is off.
                 for node in cluster.nodes:
-                    assert node.conn.wire_format == FORMAT_BINARY
                     assert not node.storage.supports_storage_batches
+                info = await client.info()
+                assert all(c["batched_ops_in"] == 0 for c in info.wire.values())
+
+        asyncio.run(scenario())
+
+    def test_client_connect_sends_nothing(self):
+        async def scenario():
+            async with SocketCluster(n_nodes=1) as cluster:
+                client = await AsyncRouterClient.connect("127.0.0.1", cluster.router.port)
+                try:
+                    assert client._conn.stats.frames_sent == 0
+                    assert (await client.info()).nodes == ["n0"]
+                finally:
+                    await client.close()
 
         asyncio.run(scenario())

@@ -1,12 +1,12 @@
-"""Frame codec tests: the JSON and binary wires are interchangeable.
+"""Frame codec tests: one frame layout, and foreign frames fail loudly.
 
-The contract the distributed runtime's negotiation rests on:
-
-* **Codec oracle** — for *every* registered message type, arbitrary
-  instances decode identically through the JSON frame codec and the hybrid
-  binary frame codec (hypothesis-driven, bulk bytes included);
-* frames are **sniffed** per frame, so one connection can carry both
-  formats (that is what makes the fallback safe mid-conversation);
+* **Codec oracle** — every registered message type round-trips through
+  ``frame_bytes`` → ``decode_frame`` → ``decode_body`` (hypothesis-driven,
+  bulk bytes included);
+* bulk bytes travel verbatim in the payload section, not in the header;
+* a frame body without the frame tag, an undecodable header or an oversized
+  length prefix is a protocol error that fails the pending request with an
+  :class:`RpcError` naming it — never a silently decoded reply;
 * ``MAX_FRAME_BYTES`` is enforced on the **send** side with a clear local
   exception, not just by the peer;
 * ``storage_batch`` op groups round-trip with per-op payloads and per-op
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -26,17 +28,16 @@ from hypothesis import strategies as st
 from repro import errors
 from repro.rpc import framing, messages as m
 from repro.rpc.framing import (
-    FORMAT_BINARY,
-    FORMAT_JSON,
     FrameTooLargeError,
     RpcConnection,
+    RpcError,
     decode_frame,
     frame_bytes,
 )
 from repro.storage.base import StorageOp, StorageOpResult
 
 # --------------------------------------------------------------------- #
-# The JSON <-> binary codec oracle
+# The frame codec oracle
 # --------------------------------------------------------------------- #
 _KEYS = st.text(max_size=12)
 _BLOB = st.binary(max_size=128)
@@ -80,12 +81,12 @@ def _message(draw, cls):
     return cls(**kwargs)
 
 
-def _round_trip(message: m.WireMessage, wire_format: str) -> m.WireMessage:
-    """Encode through one full frame codec (length prefix included) and back."""
-    msg_type, version, body = m.encode_body(message)
-    data = frame_bytes({"id": 1, "type": msg_type, "v": version, "body": body}, wire_format)
+def _round_trip(message: m.WireMessage) -> m.WireMessage:
+    """Encode through the full frame codec (length prefix included) and back."""
+    msg_type, body = m.encode_body(message)
+    data = frame_bytes({"id": 1, "type": msg_type, "body": body})
     envelope = decode_frame(data[4:])
-    return m.decode_body(envelope["type"], envelope["v"], envelope["body"])
+    return m.decode_body(envelope["type"], envelope["body"])
 
 
 @pytest.mark.parametrize("cls", sorted(m.MESSAGE_TYPES.values(), key=lambda c: c.TYPE), ids=lambda c: c.TYPE)
@@ -93,62 +94,79 @@ class TestCodecOracle:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_json_and_binary_decode_identically(self, cls, data):
+        """The JSON header and the binary payload section together give back
+        exactly the message that went in."""
         message = data.draw(_message(cls))
-        via_json = _round_trip(message, FORMAT_JSON)
-        via_binary = _round_trip(message, FORMAT_BINARY)
-        assert via_json == message
-        assert via_binary == message
-        assert via_json == via_binary
+        assert _round_trip(message) == message
 
 
 class TestFrameSniffing:
-    def test_formats_are_distinguished_per_frame(self):
-        message = m.StorageRequest(op="multi_put", items={"k": b"\x00\x01raw", "gone": None})
-        msg_type, version, body = m.encode_body(message)
-        envelope = {"id": 3, "type": msg_type, "v": version, "body": body}
-        json_frame = frame_bytes(envelope, FORMAT_JSON)
-        binary_frame = frame_bytes(envelope, FORMAT_BINARY)
-        assert json_frame[4:5] == b"{"
-        assert binary_frame[4:5] == b"\x01"
-        for frame in (json_frame, binary_frame):
-            decoded = decode_frame(frame[4:])
-            assert decoded["id"] == 3
-            assert decoded["body"]["items"] == {"k": b"\x00\x01raw", "gone": None}
-
     def test_binary_payload_is_raw_not_base64(self):
         blob = bytes(range(256)) * 8
         message = m.StorageResponse(values={"key": blob})
-        msg_type, version, body = m.encode_body(message)
-        frame = frame_bytes({"re": 1, "type": msg_type, "v": version, "body": body}, FORMAT_BINARY)
+        msg_type, body = m.encode_body(message)
+        frame = frame_bytes({"re": 1, "type": msg_type, "body": body})
         assert blob in frame  # verbatim bytes, no inflation
-        json_frame = frame_bytes(
-            {"re": 1, "type": msg_type, "v": version, "body": body}, FORMAT_JSON
-        )
-        assert blob not in json_frame
-        assert len(frame) < len(json_frame)
+        (header_len,) = struct.unpack_from(">I", frame, 5)
+        assert len(frame) == 4 + 1 + 4 + header_len + len(blob)
 
     def test_error_reply_envelope_has_no_body(self):
         envelope = {"re": 9, "error": m.error_to_wire(errors.FencedNodeError("stale epoch"))}
-        for wire_format in (FORMAT_JSON, FORMAT_BINARY):
-            decoded = decode_frame(frame_bytes(envelope, wire_format)[4:])
-            assert decoded["re"] == 9
-            assert decoded["error"]["kind"] == "fenced"
+        decoded = decode_frame(frame_bytes(envelope)[4:])
+        assert decoded["re"] == 9
+        assert decoded["error"]["kind"] == "fenced"
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            # A JSON-object frame body, as an older build of this protocol
+            # sent it: no frame tag.
+            (json.dumps({"re": 1, "type": "ok", "v": 1, "body": {}}).encode(), r"tag b'\{'"),
+            (b"\x01" + struct.pack(">I", 8) + b"not json", "undecodable frame"),
+            (None, "exceeds the"),
+        ],
+        ids=["json-frame", "bad-header", "oversize-length"],
+    )
+    def test_malformed_reply_fails_the_pending_request(self, reply, error):
+        async def scenario():
+            async def fake_peer(reader, writer):
+                (length,) = struct.unpack(">I", await reader.readexactly(4))
+                await reader.readexactly(length)  # the request itself
+                if reply is None:
+                    writer.write(struct.pack(">I", framing.MAX_FRAME_BYTES + 1))
+                else:
+                    writer.write(struct.pack(">I", len(reply)) + reply)
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(fake_peer, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            conn = await framing.connect("127.0.0.1", port, name="client")
+            try:
+                with pytest.raises(RpcError, match=error) as raised:
+                    await conn.request(m.Info(), timeout=5.0)
+                assert not isinstance(raised.value, framing.ConnectionClosedError)
+                assert conn.is_closed
+            finally:
+                await conn.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
 
 
 class TestSendSideLimit:
     def test_oversized_outgoing_frame_is_rejected_locally(self, monkeypatch):
         monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 512)
         message = m.StorageRequest(op="put", items={"k": b"x" * 4096})
-        msg_type, version, body = m.encode_body(message)
-        envelope = {"id": 1, "type": msg_type, "v": version, "body": body}
-        for wire_format in (FORMAT_JSON, FORMAT_BINARY):
-            with pytest.raises(FrameTooLargeError, match="exceeds the 512-byte limit"):
-                frame_bytes(envelope, wire_format)
+        msg_type, body = m.encode_body(message)
+        with pytest.raises(FrameTooLargeError, match="exceeds the 512-byte limit"):
+            frame_bytes({"id": 1, "type": msg_type, "body": body})
 
     def test_frames_under_the_limit_pass(self):
         message = m.Heartbeat(node_id="n0")
-        msg_type, version, body = m.encode_body(message)
-        assert frame_bytes({"type": msg_type, "v": version, "body": body}, FORMAT_BINARY)
+        msg_type, body = m.encode_body(message)
+        assert frame_bytes({"type": msg_type, "body": body})
 
 
 class TestStorageOpBatchCodec:
@@ -176,15 +194,10 @@ class TestStorageOpBatchCodec:
         assert back[2].keys == ["k1", "k2"]
         assert back[3].values is None and back[3].error is None
 
-    def test_batch_frames_survive_both_wires(self):
+    def test_batch_frames_survive_the_wire(self):
         ops = [StorageOp(op="put", keys=("k",), items={"k": b"\xff" * 32})]
-        batch = m.encode_storage_ops(ops)
-        msg_type, version, body = m.encode_body(batch)
-        for wire_format in (FORMAT_JSON, FORMAT_BINARY):
-            frame = frame_bytes({"id": 1, "type": msg_type, "v": version, "body": body}, wire_format)
-            envelope = decode_frame(frame[4:])
-            decoded = m.decode_body(envelope["type"], envelope["v"], envelope["body"])
-            assert m.decode_storage_ops(decoded) == ops
+        decoded = _round_trip(m.encode_storage_ops(ops))
+        assert m.decode_storage_ops(decoded) == ops
 
 
 class _FakeWriter:
@@ -242,7 +255,6 @@ class TestWriterCoalescing:
             server = await asyncio.start_server(accept, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             conn = await framing.connect("127.0.0.1", port, name="client")
-            conn.wire_format = FORMAT_BINARY
             for _ in range(3):
                 await conn.request(m.Info(), timeout=5.0)
             stats = conn.stats
