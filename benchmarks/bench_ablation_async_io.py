@@ -1,17 +1,17 @@
 """Ablation — wall-clock concurrency of the async IO runtime.
 
 Unlike every other benchmark in this suite, this one runs on the *real*
-clock: storage latency is injected as actual ``time.sleep`` calls through
+clock: storage latency is injected as actual ``asyncio.sleep`` waits through
 :class:`~repro.storage.latency_injected.LatencyInjectedStorage` (charged
 latency stays zero, so the cost ledger plays no role).  A swarm of
 concurrent asyncio clients drives one node through the async entry points
 (``get_many_async`` / ``put_async`` / ``commit_transaction_async``); because
-the engine declares ``wall_clock_io``, every plan stage fans its request
-groups out over the shared IO executor and the sleeps overlap.
+the engine declares ``wall_clock_io``, every plan stage gathers its request
+groups as coroutines on the event loop and the waits overlap.
 
 The serial baseline is the seed's behaviour: the sync facade with
 ``io_concurrency=1``, which issues every request group one after another —
-wall-clock time is then the *sum* of the sleeps instead of their max.
+wall-clock time is then the *sum* of the waits instead of their max.
 
 Acceptance: >= 2x wall-clock txn/s at 16 concurrent clients over the serial
 baseline.  Results go to ``benchmarks/results/BENCH_async_io.json`` and are
@@ -26,7 +26,6 @@ import time
 
 from bench_utils import emit, emit_json, run_once
 
-from repro import runtime
 from repro.config import AftConfig
 from repro.core.node import AftNode
 from repro.harness.report import format_rows
@@ -37,7 +36,7 @@ from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.spec import TransactionSpec, WorkloadSpec
 
 FAST_MODE = os.environ.get("BENCH_FAST", "") not in ("", "0")
-#: Injected per-request storage latency (really slept).
+#: Injected per-request storage latency (really waited).
 INJECTED_LATENCY_S = 0.001
 CONCURRENCY_LEVELS = (1, 4, 16, 64)
 #: Transactions per client at each concurrency level.
@@ -46,14 +45,8 @@ TXNS_PER_CLIENT = 15 if FAST_MODE else 40
 SERIAL_TXNS = 30 if FAST_MODE else 80
 
 
-def make_node(
-    io_concurrency: int, seed: int = 7, native_async: bool = False
-) -> tuple[AftNode, LatencyInjectedStorage]:
-    engine = LatencyInjectedStorage(
-        InMemoryStorage(),
-        injected=ConstantLatency(INJECTED_LATENCY_S),
-        native_async=native_async,
-    )
+def make_node(io_concurrency: int, seed: int = 7) -> tuple[AftNode, LatencyInjectedStorage]:
+    engine = LatencyInjectedStorage(InMemoryStorage(), injected=ConstantLatency(INJECTED_LATENCY_S))
     config = AftConfig(
         enable_data_cache=False,
         enable_io_pipeline=True,
@@ -126,9 +119,9 @@ async def _client(node: AftNode, client_id: int, num_txns: int, payload: bytes) 
     return committed
 
 
-def run_swarm(concurrency: int, native_async: bool = False) -> float:
+def run_swarm(concurrency: int) -> float:
     """Wall-clock txn/s of ``concurrency`` concurrent async clients."""
-    node, _ = make_node(io_concurrency=64, native_async=native_async)
+    node, _ = make_node(io_concurrency=64)
     payload = node._bench_payload  # type: ignore[attr-defined]
 
     async def drive() -> tuple[int, float]:
@@ -144,38 +137,20 @@ def run_swarm(concurrency: int, native_async: bool = False) -> float:
 
 
 def run_async_io_ablation() -> dict:
-    # The swarm peaks at 64 clients whose plan stages fan out further; give
-    # the shared executor enough threads that it is not the artificial cap.
-    runtime.configure_io_executor(64)
     serial_tps = run_serial_baseline()
     by_concurrency = {concurrency: run_swarm(concurrency) for concurrency in CONCURRENCY_LEVELS}
-    # The ROADMAP's >16-client plateau probe: the same swarm over the
-    # engine's native-async twins (no run_in_executor hop per request
-    # group).  Measured where the executor path plateaus — the interesting
-    # before/after is at the top concurrency levels.
-    native_by_concurrency = {
-        concurrency: run_swarm(concurrency, native_async=True)
-        for concurrency in CONCURRENCY_LEVELS
-        if concurrency >= 16
-    }
-    return {
-        "serial_tps": serial_tps,
-        "by_concurrency": by_concurrency,
-        "native_by_concurrency": native_by_concurrency,
-    }
+    return {"serial_tps": serial_tps, "by_concurrency": by_concurrency}
 
 
 def test_ablation_async_io(benchmark):
     results = run_once(benchmark, run_async_io_ablation)
     serial_tps = results["serial_tps"]
     by_concurrency = results["by_concurrency"]
-    native_by_concurrency = results["native_by_concurrency"]
 
     rows = [
         {
             "clients": concurrency,
             "wall_clock_tps": tps,
-            "native_tps": native_by_concurrency.get(concurrency, ""),
             "speedup_vs_serial": tps / serial_tps,
         }
         for concurrency, tps in sorted(by_concurrency.items())
@@ -184,16 +159,11 @@ def test_ablation_async_io(benchmark):
         "ablation_async_io",
         format_rows(
             [
-                {
-                    "clients": "serial",
-                    "wall_clock_tps": serial_tps,
-                    "native_tps": "",
-                    "speedup_vs_serial": 1.0,
-                },
+                {"clients": "serial", "wall_clock_tps": serial_tps, "speedup_vs_serial": 1.0},
                 *rows,
             ],
-            ["clients", "wall_clock_tps", "native_tps", "speedup_vs_serial"],
-            title="Ablation: async IO runtime, wall-clock throughput (real sleeps)",
+            ["clients", "wall_clock_tps", "speedup_vs_serial"],
+            title="Ablation: async IO runtime, wall-clock throughput (real waits)",
         ),
     )
 
@@ -207,24 +177,15 @@ def test_ablation_async_io(benchmark):
             "serial_txns": SERIAL_TXNS,
             "serial_tps": serial_tps,
             "wall_clock_tps": {str(k): v for k, v in by_concurrency.items()},
-            "native_wall_clock_tps": {str(k): v for k, v in native_by_concurrency.items()},
             "speedup_at_16": speedup_at_16,
-            "native_gain_at_64": native_by_concurrency[64] / by_concurrency[64],
         },
     )
 
     # Acceptance (ISSUE 6): >= 2x wall-clock throughput at 16 concurrent
     # clients over the serial sync baseline.  The real headroom is far
-    # larger (the sleeps overlap almost perfectly); 2x keeps the gate
+    # larger (the waits overlap almost perfectly); 2x keeps the gate
     # robust on noisy shared CI runners.
     assert speedup_at_16 >= 2.0, (serial_tps, by_concurrency)
     # Concurrency must actually help monotonically up to 16 clients.
     assert by_concurrency[4] > by_concurrency[1]
     assert by_concurrency[16] > by_concurrency[4]
-    # The native-async path must not regress the executor path where the
-    # plateau lives (generous bound: CI runners are noisy; the point of the
-    # recorded before/after is the trend, the gate only guards collapse).
-    assert native_by_concurrency[64] >= 0.7 * by_concurrency[64], (
-        native_by_concurrency,
-        by_concurrency,
-    )

@@ -318,10 +318,9 @@ class FaultManagerConfig:
         clock assumption).
     parallel_recovery:
         Whether node-failure recovery replays the shards concurrently on the
-        shared bounded IO runtime (:mod:`repro.runtime`) — the same executor
-        budget the data path's plan fan-out uses, not a private pool.  Scans
-        stay sequential (deterministic); the simulator charges per-shard
-        parallel latency either way.
+        shared bounded IO executor (:mod:`repro.runtime`), not a private
+        pool.  Scans stay sequential (deterministic); the simulator charges
+        per-shard parallel latency either way.
     """
 
     num_shards: int = 4

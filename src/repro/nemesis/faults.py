@@ -82,7 +82,7 @@ class TornWriteStorage(StorageEngine):
     # ------------------------------------------------------------------ #
     # Write path (where tearing happens)
     # ------------------------------------------------------------------ #
-    def put(self, key: str, value: bytes) -> None:
+    async def put_async(self, key: str, value: bytes) -> None:
         if self._armed and key.startswith(DATA_PREFIX):
             # Single-put path (engines without batch writes): let the first
             # data write of the doomed transaction land, tear the second.
@@ -93,35 +93,35 @@ class TornWriteStorage(StorageEngine):
                 if mode == "abort":
                     raise TornWriteError(f"torn write: lost {key!r}")
                 return  # silent: drop the write, report success
-        self.inner.put(key, value)
+        await self.inner.put_async(key, value)
 
-    def multi_put(self, items: Mapping[str, bytes]) -> None:
+    async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
         if self._armed:
             data_keys = [k for k in items if k.startswith(DATA_PREFIX)]
             if len(data_keys) >= 2:
                 victim = data_keys[-1]
                 mode = self.mode
                 self._fire()
-                self.inner.multi_put({k: v for k, v in items.items() if k != victim})
+                await self.inner.multi_put_async({k: v for k, v in items.items() if k != victim})
                 if mode == "abort":
                     raise TornWriteError(f"torn write: lost {victim!r}")
                 return
-        self.inner.multi_put(items)
+        await self.inner.multi_put_async(items)
 
     # ------------------------------------------------------------------ #
     # Pass-through
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> bytes | None:
-        return self.inner.get(key)
+    async def get_async(self, key: str) -> bytes | None:
+        return await self.inner.get_async(key)
 
-    def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
-        return self.inner.multi_get(keys)
+    async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
+        return await self.inner.multi_get_async(keys)
 
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
+    async def delete_async(self, key: str) -> None:
+        await self.inner.delete_async(key)
 
-    def multi_delete(self, keys: Iterable[str]) -> None:
-        self.inner.multi_delete(keys)
+    async def multi_delete_async(self, keys: Iterable[str]) -> None:
+        await self.inner.multi_delete_async(keys)
 
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
+    async def list_keys_async(self, prefix: str = "") -> list[str]:
+        return await self.inner.list_keys_async(prefix)

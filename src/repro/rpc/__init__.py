@@ -11,9 +11,9 @@ into messages on sockets:
   unknown-field-tolerant codec (unknown fields are dropped, missing ones
   take their defaults).
 * :mod:`repro.rpc.storage_client` — :class:`~repro.rpc.storage_client.RemoteStorage`,
-  a native-async :class:`~repro.storage.base.StorageEngine` speaking storage
-  ops to the router's shared storage service, coalescing concurrent ops
-  into shared ``storage_batch`` frames.
+  a :class:`~repro.storage.base.StorageEngine` whose op coroutines await
+  the router's shared storage service over the socket, coalescing
+  concurrent ops into shared ``storage_batch`` frames.
 * :mod:`repro.rpc.router` — the ``repro-router`` process: shared storage,
   lease membership with epoch fencing, the commit-stream hub, and client
   session routing.

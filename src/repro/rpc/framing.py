@@ -41,6 +41,7 @@ by Nagle's algorithm.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import itertools
 import json
 import socket
@@ -61,6 +62,34 @@ _LENGTH = struct.Struct(">I")
 _HEADER_LEN = struct.Struct(">I")
 #: First byte of every frame body.
 _FRAME_TAG = b"\x01"
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def pin_malloc_thresholds() -> None:
+    """Keep a socket read's scratch buffer on the heap, and the heap untrimmed.
+
+    asyncio's selector transport reads every chunk into a fresh 256 KiB
+    bytes object and shrinks it to the bytes received.  Under glibc's
+    dynamic thresholds, whether that buffer is carved from the heap or
+    mapped (and the freed tail trimmed back to the OS, to be faulted in
+    again by the next read) depends on the heap layout the process happens
+    to reach while starting up: an unrelated change to what a server
+    imports or allocates can add two page faults to every frame it
+    receives.  Fixed thresholds — allocations below 384 KiB come from the
+    heap, the heap top is trimmed only above 1 MiB free — make a server's
+    per-frame cost independent of that layout while leaving larger
+    allocations mapped.  Called by the process entry points; a no-op where
+    the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 384 * 1024)
+    mallopt(_M_TRIM_THRESHOLD, 1024 * 1024)
 
 
 class RpcError(AftError):

@@ -38,7 +38,7 @@ from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
-from repro.rpc.framing import RpcConnection, connect
+from repro.rpc.framing import RpcConnection, connect, pin_malloc_thresholds
 from repro.rpc.storage_client import RemoteStorage
 
 #: How often drained commits are published to the router's commit hub.
@@ -293,6 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         help="seconds between metrics snapshots (0 disables; implies tracing on)",
     )
     args = parser.parse_args(argv)
+    pin_malloc_thresholds()
 
     config = AftConfig()
     if args.storage_timeout is not None:

@@ -50,7 +50,7 @@ from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
-from repro.rpc.framing import RpcConnection
+from repro.rpc.framing import RpcConnection, pin_malloc_thresholds
 from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
 from repro.storage.memory import InMemoryStorage
 
@@ -500,6 +500,7 @@ def main(argv: list[str] | None = None) -> int:
         help="seconds between metrics snapshots (0 disables; implies tracing on)",
     )
     args = parser.parse_args(argv)
+    pin_malloc_thresholds()
 
     async def run() -> None:
         router = RouterServer(

@@ -1,11 +1,10 @@
 """A storage engine that speaks to the router's shared storage service.
 
-:class:`RemoteStorage` is the node process's view of cloud storage.  It
-declares ``supports_native_async`` — the ``*_async`` twins await socket
-round trips directly, so ``execute_plan_async`` fans a plan stage's request
-groups out as plain coroutines on the node's event loop with no executor
-hop.  That composes the whole PR stack: IO plans (PR 1) route through the
-async core (PR 6) onto real sockets (PR 7).
+:class:`RemoteStorage` is the node process's view of cloud storage.  Each
+op of the :class:`~repro.storage.base.StorageEngine` contract is one
+coroutine that awaits its socket round trip, and the engine declares
+``wall_clock_io``, so ``execute_plan_async`` gathers a plan stage's request
+groups as plain coroutines on the node's event loop.
 
 On top of that sits the wire hot-path optimisation: when the node enables
 storage batching (the default; ``repro-node --no-storage-batching`` turns it
@@ -18,14 +17,14 @@ transactions opportunistically share frames.  Per-op errors come back as
 data, so a fenced commit-record write fails exactly its own waiter.
 
 Accounting rule: the layer that returns to the caller does the stats and
-latency accounting — the single-op twins account for themselves, the
+latency accounting — the single-op coroutines account for themselves, the
 batched ``execute_group_async`` accounts per op for the plan path, and the
 submission machinery (`_submit`, the coalescer) never accounts.  Nothing is
 double-counted whichever path an op takes.
 
-The sync :class:`~repro.storage.base.StorageEngine` methods remain usable
-*off* the event loop (:func:`repro.runtime.drive` runs their coroutine on the
-connection's loop and blocks the caller), which is how ``AftNode.bootstrap``
+The base class's sync names (``get``, ``list_keys``, ...) stay usable *off*
+the event loop: :func:`repro.runtime.drive` runs their coroutine on the
+connection's loop and blocks the caller, which is how ``AftNode.bootstrap``
 — a sync commit-set scan — runs in a worker thread during node warm-up.
 Calling them *on* the loop thread raises instead of deadlocking.
 """
@@ -35,7 +34,6 @@ from __future__ import annotations
 import asyncio
 from typing import Iterable, Mapping
 
-from repro import runtime
 from repro.errors import StorageError
 from repro.observability import trace as tr
 from repro.rpc import messages as m
@@ -130,7 +128,6 @@ class RemoteStorage(StorageEngine):
 
     name = "remote"
     wall_clock_io = True
-    supports_native_async = True
     supports_batch_writes = True
     supports_batch_reads = True
 
@@ -251,7 +248,7 @@ class RemoteStorage(StorageEngine):
         return results
 
     # ------------------------------------------------------------------ #
-    # Native-async operations
+    # The op contract: each op awaits its socket round trip
     # ------------------------------------------------------------------ #
     async def get_async(self, key: str) -> bytes | None:
         op = StorageOp(op="get", keys=(key,))
@@ -313,27 +310,3 @@ class RemoteStorage(StorageEngine):
             raise result.error
         self._account_op(op, result)
         return list(result.keys or [])
-
-    # ------------------------------------------------------------------ #
-    # Sync facade (worker threads only)
-    # ------------------------------------------------------------------ #
-    def get(self, key: str) -> bytes | None:
-        return runtime.drive(self.get_async(key), self)
-
-    def put(self, key: str, value: bytes) -> None:
-        runtime.drive(self.put_async(key, value), self)
-
-    def delete(self, key: str) -> None:
-        runtime.drive(self.delete_async(key), self)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return runtime.drive(self.list_keys_async(prefix), self)
-
-    def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
-        return runtime.drive(self.multi_get_async(list(keys)), self)
-
-    def multi_put(self, items: Mapping[str, bytes]) -> None:
-        runtime.drive(self.multi_put_async(dict(items)), self)
-
-    def multi_delete(self, keys: Iterable[str]) -> None:
-        runtime.drive(self.multi_delete_async(list(keys)), self)

@@ -18,17 +18,16 @@ to run one from what it can observe:
   thread this module owns.  The caller's context is copied into the task and
   the calling thread blocks for the result.
 
-Blocking engine calls (real backends block on sockets,
-:class:`~repro.storage.latency_injected.LatencyInjectedStorage` on
-``time.sleep``) run on the process-wide executor owned by this module, so the
-number of in-flight storage requests is bounded no matter how many plans,
-nodes, or event loops are active.  The fault manager's parallel per-shard
-recovery replay shares it through :func:`run_blocking_group`.
+No plan waits on executor slots: a wall-clock plan fans its request groups
+out as coroutines on the loop.  So any thread — an executor worker included
+— can block on the loop for a sync caller without starving it.
 
-Re-entrancy: work submitted to the executor is marked with a thread-local
-flag.  Code that would otherwise dispatch *more* work to the executor (a
-plan execution inside a recovery replay, say) detects the flag via
-:func:`in_io_worker` and runs inline instead — the classic nested-pool
+The process-wide bounded executor this module also owns is for blocking
+callables that are not engine ops: the fault manager's parallel per-shard
+recovery replay (:func:`run_blocking_group`) and the router's storage
+service over a wall-clock engine.  Work submitted to it is marked with a
+thread-local flag; :func:`run_blocking_group` called *from* a worker
+(:func:`in_io_worker`) runs inline instead — the classic nested-pool
 deadlock (all workers blocked waiting for queue slots that only workers can
 free) cannot occur.
 """
@@ -80,14 +79,7 @@ def drive(coro: Coroutine[Any, Any, Any], engine: Any = None, needs_loop: bool =
         raise RuntimeError(
             "a coroutine driven inline suspended: metered engines must not await real IO"
         )
-    loop = getattr(engine, "loop", None)
-    if loop is None:
-        if in_io_worker():
-            # An executor worker must not wait on a loop whose fan-out needs
-            # executor slots; a private loop keeps the whole plan on this
-            # thread (``execute_plan_async`` sees the worker flag).
-            return asyncio.run(coro)
-        loop = event_loop()
+    loop = getattr(engine, "loop", None) or event_loop()
     try:
         running = asyncio.get_running_loop()
     except RuntimeError:

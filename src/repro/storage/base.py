@@ -22,7 +22,7 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Coroutine, Iterable, Iterator, Mapping
 
 from repro import runtime
 from repro.clock import Clock, SystemClock
@@ -35,6 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports storage
 #: Process-wide unique ids for plan stages, so that entries merged from
 #: different ledgers never collapse into one stage by accident.
 _stage_ids = itertools.count(1)
+
+#: One request group of a plan stage: a thunk returning the coroutine that
+#: issues it (a thunk, so a group skipped after an earlier failure is never
+#: created and left un-awaited).
+_Group = Callable[[], Coroutine[Any, Any, "dict[str, bytes | None] | None"]]
 
 
 @dataclass
@@ -209,6 +214,12 @@ class StorageOpResult:
 class StorageEngine(ABC):
     """Abstract durable key-value store.
 
+    An engine implements each operation once, as a coroutine: the four
+    abstract ``get_async`` / ``put_async`` / ``delete_async`` /
+    ``list_keys_async``, plus the ``multi_*_async`` batches when it has
+    native ones.  The sync names are facades that only drive those
+    coroutines (:func:`repro.runtime.drive`).
+
     Values are opaque ``bytes``.  ``get`` returns ``None`` for missing keys
     (cloud object stores behave this way and the shim treats absence as an
     expected condition, e.g. when racing the garbage collector).
@@ -224,21 +235,14 @@ class StorageEngine(ABC):
     supports_batch_reads: bool = False
     #: Maximum number of items per batched read (None = unlimited).
     max_batch_get_size: int | None = None
-    #: Whether the engine's operations block for *real* wall-clock time
+    #: Whether the engine's operations wait for *real* wall-clock time
     #: (network sockets, injected sleeps).  The simulated engines meter their
-    #: latency instead of sleeping, so they leave this False and keep the
-    #: deterministic sequential issue order; wall-clock engines opt into the
-    #: concurrent fan-out of ``execute_plan_async`` and have their sync
-    #: callers driven on an event loop (:func:`repro.runtime.drive`).
+    #: latency instead of waiting, so they leave this False: their coroutines
+    #: never suspend, plan groups are awaited in order, and sync callers step
+    #: them inline.  Wall-clock engines get the gathered fan-out of
+    #: ``execute_plan_async`` and have their sync callers driven on an event
+    #: loop (:func:`repro.runtime.drive`).
     wall_clock_io: bool = False
-    #: Whether the engine's IO is natively non-blocking (its ``*_async``
-    #: operation twins await real IO instead of wrapping the sync methods).
-    #: ``execute_plan_async`` then fans request groups out as plain
-    #: coroutines on the event loop — no ``run_in_executor`` hop, no
-    #: executor-slot contention, no GIL hand-off per group — which is what
-    #: lifts the >16-client swarm plateau.  Only meaningful together with
-    #: ``wall_clock_io``; metered engines stay sequential either way.
-    supports_native_async: bool = False
     #: Whether the engine executes a whole request *group* as one unit when
     #: handed a list of :class:`StorageOp` descriptors
     #: (:meth:`execute_group_async`).  Remote engines remap the group onto a
@@ -261,7 +265,7 @@ class StorageEngine(ABC):
         #: Ledger attachment is context-local (``contextvars``): concurrent
         #: committers each meter their own operations without cross-wiring
         #: each other's cost accounting.  A ContextVar rather than
-        #: ``threading.local`` because the native-async plan path interleaves
+        #: ``threading.local`` because the wall-clock plan path interleaves
         #: many request groups as coroutines *on one loop thread* — asyncio
         #: tasks copy the context at creation, so each group's ledger stays
         #: isolated; plain threads keep their per-thread contexts, preserving
@@ -284,10 +288,14 @@ class StorageEngine(ABC):
     # ------------------------------------------------------------------ #
     @contextmanager
     def metered(self, ledger: CostLedger) -> Iterator[CostLedger]:
-        """Attach ``ledger`` to the calling thread for the ``with`` block.
+        """Attach ``ledger`` to the calling context for the ``with`` block.
 
-        Nested attachments are not supported; the innermost ledger wins and is
-        restored on exit.  Operations issued by other threads are unaffected.
+        Every op awaited inside the block charges ``ledger`` — also when a
+        sync facade drives it on an event loop, since :func:`repro.runtime.drive`
+        runs the coroutine in a copy of the caller's context.  Nested
+        attachments are not supported; the innermost ledger wins and is
+        restored on exit.  Operations issued by other threads or tasks are
+        unaffected.
         """
         previous = self._ledger
         self._ledger = ledger
@@ -304,65 +312,61 @@ class StorageEngine(ABC):
         return latency
 
     # ------------------------------------------------------------------ #
-    # Required data-plane operations
+    # The op contract: every engine implements each op once, as a coroutine
     # ------------------------------------------------------------------ #
     @abstractmethod
-    def get(self, key: str) -> bytes | None:
+    async def get_async(self, key: str) -> bytes | None:
         """Return the value stored under ``key`` or ``None`` if absent."""
 
     @abstractmethod
-    def put(self, key: str, value: bytes) -> None:
+    async def put_async(self, key: str, value: bytes) -> None:
         """Durably store ``value`` under ``key`` (overwriting any prior value)."""
 
     @abstractmethod
-    def delete(self, key: str) -> None:
+    async def delete_async(self, key: str) -> None:
         """Remove ``key``; deleting a missing key is a no-op."""
 
     @abstractmethod
-    def list_keys(self, prefix: str = "") -> list[str]:
+    async def list_keys_async(self, prefix: str = "") -> list[str]:
         """Return all keys starting with ``prefix`` in lexicographic order."""
 
-    # ------------------------------------------------------------------ #
-    # Batched operations (default implementations loop over point ops)
-    # ------------------------------------------------------------------ #
-    def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
-        """Fetch several keys.  The default implementation issues point reads."""
-        return {key: self.get(key) for key in keys}
-
-    def multi_put(self, items: Mapping[str, bytes]) -> None:
-        """Store several keys.  The default implementation issues point writes."""
-        for key, value in items.items():
-            self.put(key, value)
-
-    def multi_delete(self, keys: Iterable[str]) -> None:
-        """Delete several keys.  The default implementation issues point deletes."""
-        for key in keys:
-            self.delete(key)
-
-    # ------------------------------------------------------------------ #
-    # Native-async operation twins
-    # ------------------------------------------------------------------ #
-    # Engines declaring ``supports_native_async`` override these with truly
-    # non-blocking implementations (``asyncio.sleep``, async sockets); the
-    # defaults delegate to the sync methods so the async plan path stays
-    # correct — though not non-blocking — on any engine.
-    async def get_async(self, key: str) -> bytes | None:
-        return self.get(key)
-
-    async def put_async(self, key: str, value: bytes) -> None:
-        self.put(key, value)
-
-    async def delete_async(self, key: str) -> None:
-        self.delete(key)
-
     async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
-        return self.multi_get(keys)
+        """Fetch several keys.  The default implementation issues point reads."""
+        return {key: await self.get_async(key) for key in keys}
 
     async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
-        self.multi_put(items)
+        """Store several keys.  The default implementation issues point writes."""
+        for key, value in items.items():
+            await self.put_async(key, value)
 
     async def multi_delete_async(self, keys: Iterable[str]) -> None:
-        self.multi_delete(keys)
+        """Delete several keys.  The default implementation issues point deletes."""
+        for key in keys:
+            await self.delete_async(key)
+
+    # ------------------------------------------------------------------ #
+    # Sync facades: each only drives its coroutine (repro.runtime.drive)
+    # ------------------------------------------------------------------ #
+    def get(self, key: str) -> bytes | None:
+        return runtime.drive(self.get_async(key), self)
+
+    def put(self, key: str, value: bytes) -> None:
+        runtime.drive(self.put_async(key, value), self)
+
+    def delete(self, key: str) -> None:
+        runtime.drive(self.delete_async(key), self)
+
+    def list_keys(self, prefix: str = "") -> list[str]:
+        return runtime.drive(self.list_keys_async(prefix), self)
+
+    def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
+        return runtime.drive(self.multi_get_async(keys), self)
+
+    def multi_put(self, items: Mapping[str, bytes]) -> None:
+        runtime.drive(self.multi_put_async(items), self)
+
+    def multi_delete(self, keys: Iterable[str]) -> None:
+        runtime.drive(self.multi_delete_async(keys), self)
 
     # ------------------------------------------------------------------ #
     # Storage-op groups (descriptor form of a plan stage)
@@ -427,7 +431,7 @@ class StorageEngine(ABC):
         """Per-stage request-group concurrency bound actually in effect."""
         if self.io_concurrency is not None:
             return max(1, self.io_concurrency)
-        return runtime.io_executor_size()
+        return runtime.DEFAULT_IO_CONCURRENCY
 
     def execute_plan(self, plan: "IOPlan") -> "PlanResult":
         """Sync facade: drive :meth:`execute_plan_async` to completion."""
@@ -438,28 +442,23 @@ class StorageEngine(ABC):
 
         Each stage's operations are partitioned into *request groups* by the
         engine's capability hooks (:meth:`_plan_put_groups` /
-        :meth:`_plan_get_groups`): a group is one storage request.  How a
-        stage's groups are *issued* depends on the engine:
+        :meth:`_plan_get_groups`): a group is one storage request, i.e. one
+        awaited ``*_async`` op.  How a stage's groups are *issued* follows
+        from what the engine declares:
 
-        * Metered engines (the simulated backends) issue the groups
-          sequentially, without ever suspending.  Their latency is sampled
-          from seeded models, not waited for, so concurrency would buy
-          nothing and would scramble the deterministic sampling order the
-          experiment medians depend on.  The *charged* concurrency is the
-          same either way: every operation lands on the attached
-          :class:`CostLedger` tagged with its stage, and
+        * ``supports_storage_batches``: the whole stage ships as one op group
+          (:meth:`execute_group_async`).
+        * ``wall_clock_io``: the group coroutines are gathered on the event
+          loop, at most :attr:`effective_io_concurrency` in flight at once.
+        * otherwise (metered engines, the simulated backends): the group
+          coroutines are awaited one after another.  They never suspend —
+          latency is sampled from seeded models, not waited for — so
+          concurrency would buy nothing and would scramble the deterministic
+          sampling order the experiment medians depend on.  The *charged*
+          concurrency is the same either way: every operation lands on the
+          attached :class:`CostLedger` tagged with its stage, and
           ``ledger.pipelined_latency`` charges the max latency within a
           stage plus the sum across stages.
-        * Engines with ``wall_clock_io`` fan the groups out with
-          ``asyncio.gather``, at most :attr:`effective_io_concurrency` in
-          flight at once: as plain coroutines over the ``*_async`` operations
-          when the engine declares ``supports_native_async`` (no thread hop
-          per group), otherwise as blocking calls on the shared bounded
-          executor (:mod:`repro.runtime`) — unless the caller *is* an
-          executor worker, which runs them inline (see the runtime's note on
-          re-entrancy).
-        * Engines with ``supports_storage_batches`` ship the whole stage as
-          one op group (:meth:`execute_group_async`).
 
         Stages are barriers in every mode — no group of stage ``i+1`` is
         issued until every group of stage ``i`` completed — which is how the
@@ -485,15 +484,11 @@ class StorageEngine(ABC):
                     stage_id = next(_stage_ids)
                     if self.supports_storage_batches:
                         outcomes = await self._execute_stage_batched(stage, stage_id)
-                    elif self.wall_clock_io and self.supports_native_async:
-                        outcomes = await self._gather_groups_native(
-                            self._stage_groups_async(stage), stage_id
-                        )
-                    elif self.wall_clock_io and not runtime.in_io_worker():
+                    elif self.wall_clock_io:
                         outcomes = await self._gather_groups(self._stage_groups(stage), stage_id)
                     else:
                         outcomes = [
-                            self._run_group(group, stage_id)
+                            await self._run_group(group, stage_id)
                             for group in self._stage_groups(stage)
                         ]
                     self._collect_stage(outcomes, inner, result)
@@ -506,95 +501,60 @@ class StorageEngine(ABC):
         return result
 
     async def _gather_groups(
-        self, groups: list[Callable[[], dict[str, bytes | None] | None]], stage_id: int
+        self, groups: list[_Group], stage_id: int
     ) -> list[tuple[dict[str, bytes | None] | None, CostLedger]]:
-        """Fan one stage's groups out on the executor, bounded by a semaphore."""
-        loop = asyncio.get_running_loop()
+        """Fan one stage's groups out as coroutines on the loop, bounded."""
         limit = asyncio.Semaphore(self.effective_io_concurrency)
 
-        async def run_one(group: Callable[[], dict[str, bytes | None] | None]):
+        async def bounded(group: _Group):
             async with limit:
-                return await loop.run_in_executor(
-                    runtime.io_executor(),
-                    runtime.marked(lambda: self._run_group(group, stage_id)),
-                )
+                return await self._run_group(group, stage_id)
 
-        return list(await asyncio.gather(*(run_one(group) for group in groups)))
+        return list(await asyncio.gather(*(bounded(group) for group in groups)))
 
-    async def _gather_groups_native(self, thunks, stage_id: int):
-        """Fan one stage's groups out as coroutines on the loop (no executor).
+    async def _run_group(
+        self, group: _Group, stage_id: int
+    ) -> tuple[dict[str, bytes | None] | None, CostLedger]:
+        """Issue one request group under its own stage-tagged ledger.
 
-        ``asyncio.gather`` wraps each coroutine in a task, and tasks copy the
-        current context at creation — so each group's ``metered`` attachment
-        (a ContextVar) is isolated per group even though they all interleave
-        on one thread.
+        The per-group ledger keeps the charge accounting order-agnostic: the
+        plan executor merges the group ledgers back in group order, so the
+        merged entry sequence is the same whether the groups ran one after
+        another or interleaved.  ``asyncio.gather`` wraps each group in a
+        task, and tasks copy the context at creation, so each group's
+        ``metered`` attachment (a ContextVar) stays its own.
         """
-        limit = asyncio.Semaphore(self.effective_io_concurrency)
+        ledger = CostLedger()
+        ledger._current_stage = stage_id
+        with self.metered(ledger):
+            values = await group()
+        return values, ledger
 
-        async def run_one(thunk):
-            async with limit:
-                ledger = CostLedger()
-                ledger._current_stage = stage_id
-                with self.metered(ledger):
-                    values = await thunk()
-                return values, ledger
-
-        return list(await asyncio.gather(*(run_one(thunk) for thunk in thunks)))
-
-    def _stage_groups_async(self, stage: "IOStage"):
-        """Coroutine thunks per request group, for ``supports_native_async`` engines."""
-        thunks = []
-        for group in self._plan_put_groups(stage.puts):
-            thunks.append(lambda g=group: self._execute_put_group_async(g))
-        for key_group in self._plan_get_groups(stage.gets):
-            thunks.append(lambda ks=key_group: self._execute_get_group_async(ks))
+    def _stage_groups(self, stage: "IOStage") -> list[_Group]:
+        """Partition one stage into request groups (one storage request each)."""
+        groups: list[_Group] = []
+        for items in self._plan_put_groups(stage.puts):
+            groups.append(lambda g=items: self._put_group(g))
+        for keys in self._plan_get_groups(stage.gets):
+            groups.append(lambda ks=keys: self._get_group(ks))
         deletes = stage.deletes
         if deletes:
-            thunks.append(lambda ks=deletes: self.multi_delete_async(ks))
-        return thunks
+            groups.append(lambda ks=deletes: self.multi_delete_async(ks))
+        return groups
 
-    async def _execute_put_group_async(self, group: Mapping[str, bytes]) -> None:
+    async def _put_group(self, group: Mapping[str, bytes]) -> None:
+        """Issue one put request (a native batch, or a point write)."""
         if len(group) > 1:
             await self.multi_put_async(group)
         else:
             for key, value in group.items():
                 await self.put_async(key, value)
 
-    async def _execute_get_group_async(self, keys: list[str]) -> dict[str, bytes | None]:
+    async def _get_group(self, keys: list[str]) -> dict[str, bytes | None]:
+        """Issue one get request (a native batch, or a point read)."""
         if len(keys) > 1:
             return await self.multi_get_async(keys)
         return {keys[0]: await self.get_async(keys[0])}
-
-    def _stage_groups(
-        self, stage: "IOStage"
-    ) -> list[Callable[[], dict[str, bytes | None] | None]]:
-        """Partition one stage into request-group thunks (one storage request each)."""
-        thunks: list[Callable[[], dict[str, bytes | None] | None]] = []
-        for group in self._plan_put_groups(stage.puts):
-            thunks.append(lambda g=group: self._execute_put_group(g))
-        for key_group in self._plan_get_groups(stage.gets):
-            thunks.append(lambda ks=key_group: self._execute_get_group(ks))
-        deletes = stage.deletes
-        if deletes:
-            thunks.append(lambda ks=deletes: self.multi_delete(ks))
-        return thunks
-
-    def _run_group(
-        self, thunk: Callable[[], dict[str, bytes | None] | None], stage_id: int
-    ) -> tuple[dict[str, bytes | None] | None, CostLedger]:
-        """Issue one request group under its own stage-tagged ledger.
-
-        The per-group ledger makes the charge accounting thread-agnostic:
-        whichever thread runs the group, its operations land on a private
-        ledger (ledger attachment is thread-local) that the plan executor
-        merges back in group order — so the merged entry sequence is
-        identical to the old single-ledger sequential loop.
-        """
-        ledger = CostLedger()
-        ledger._current_stage = stage_id
-        with self.metered(ledger):
-            values = thunk()
-        return values, ledger
 
     def _collect_stage(
         self,
@@ -638,14 +598,6 @@ class StorageEngine(ABC):
             return [dict(pairs[start : start + limit]) for start in range(0, len(pairs), limit)]
         return [{key: value} for key, value in items.items()]
 
-    def _execute_put_group(self, group: Mapping[str, bytes]) -> None:
-        """Issue one put request (a native batch, or a point write)."""
-        if len(group) > 1:
-            self.multi_put(group)
-        else:
-            for key, value in group.items():
-                self.put(key, value)
-
     def _plan_get_groups(self, keys: list[str]) -> list[list[str]]:
         """Partition a stage's gets into concurrent requests."""
         if not keys:
@@ -654,12 +606,6 @@ class StorageEngine(ABC):
             limit = self.max_batch_get_size or len(keys)
             return [keys[start : start + limit] for start in range(0, len(keys), limit)]
         return [[key] for key in keys]
-
-    def _execute_get_group(self, keys: list[str]) -> dict[str, bytes | None]:
-        """Issue one get request (a native batch, or a point read)."""
-        if len(keys) > 1:
-            return self.multi_get(keys)
-        return {keys[0]: self.get(keys[0])}
 
     # ------------------------------------------------------------------ #
     # Convenience

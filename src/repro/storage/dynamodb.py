@@ -29,6 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from repro import runtime
 from repro.clock import Clock
 from repro.errors import BatchTooLargeError, TransactionConflictError
 from repro.storage.base import StorageEngine
@@ -119,7 +120,14 @@ class SimulatedDynamoDB(StorageEngine):
     # ------------------------------------------------------------------ #
     # StorageEngine interface
     # ------------------------------------------------------------------ #
+    # The two sync reads are overridden only to pass ``consistent=`` through.
     def get(self, key: str, consistent: bool | None = None) -> bytes | None:
+        return runtime.drive(self.get_async(key, consistent), self)
+
+    def multi_get(self, keys: Iterable[str], consistent: bool | None = None) -> dict[str, bytes | None]:
+        return runtime.drive(self.multi_get_async(keys, consistent), self)
+
+    async def get_async(self, key: str, consistent: bool | None = None) -> bytes | None:
         consistent = self.consistent_reads if consistent is None else consistent
         now = self._now()
         with self._lock:
@@ -131,7 +139,7 @@ class SimulatedDynamoDB(StorageEngine):
         self._charge("read", total_bytes=len(value) if value else 0)
         return value
 
-    def put(self, key: str, value: bytes) -> None:
+    async def put_async(self, key: str, value: bytes) -> None:
         now = self._now()
         with self._lock:
             self._check_not_locked([key], owner=None)
@@ -141,7 +149,7 @@ class SimulatedDynamoDB(StorageEngine):
         self.stats.bytes_written += len(value)
         self._charge("write", total_bytes=len(value))
 
-    def delete(self, key: str) -> None:
+    async def delete_async(self, key: str) -> None:
         with self._lock:
             existed = self._versions.pop(key, None) is not None
         self.stats.deletes += 1
@@ -149,14 +157,16 @@ class SimulatedDynamoDB(StorageEngine):
             self.stats.items_deleted += 1
         self._charge("delete")
 
-    def list_keys(self, prefix: str = "") -> list[str]:
+    async def list_keys_async(self, prefix: str = "") -> list[str]:
         with self._lock:
             keys = sorted(k for k in self._versions if k.startswith(prefix))
         self.stats.lists += 1
         self._charge("list", n_items=max(1, len(keys)))
         return keys
 
-    def multi_get(self, keys: Iterable[str], consistent: bool | None = None) -> dict[str, bytes | None]:
+    async def multi_get_async(
+        self, keys: Iterable[str], consistent: bool | None = None
+    ) -> dict[str, bytes | None]:
         keys = list(keys)
         if len(keys) > self.max_batch_get_size:
             raise BatchTooLargeError(
@@ -173,7 +183,7 @@ class SimulatedDynamoDB(StorageEngine):
         self._charge("batch_read", n_items=max(1, len(keys)), total_bytes=total)
         return result
 
-    def multi_put(self, items: Mapping[str, bytes]) -> None:
+    async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
         if len(items) > self.max_batch_size:
             raise BatchTooLargeError(
                 f"BatchWriteItem of {len(items)} items exceeds the {self.max_batch_size}-item limit"
@@ -189,7 +199,7 @@ class SimulatedDynamoDB(StorageEngine):
         self.stats.bytes_written += total
         self._charge("batch_write", n_items=max(1, len(items)), total_bytes=total)
 
-    def multi_delete(self, keys: Iterable[str]) -> None:
+    async def multi_delete_async(self, keys: Iterable[str]) -> None:
         keys = list(keys)
         with self._lock:
             for key in keys:

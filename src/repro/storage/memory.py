@@ -36,7 +36,7 @@ class InMemoryStorage(StorageEngine):
         self.max_batch_size = max_batch_size
 
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> bytes | None:
+    async def get_async(self, key: str) -> bytes | None:
         with self._lock:
             value = self._data.get(key)
         self.stats.reads += 1
@@ -46,7 +46,7 @@ class InMemoryStorage(StorageEngine):
         self._charge("read", total_bytes=len(value) if value else 0)
         return value
 
-    def put(self, key: str, value: bytes) -> None:
+    async def put_async(self, key: str, value: bytes) -> None:
         with self._lock:
             self._data[key] = bytes(value)
         self.stats.writes += 1
@@ -54,7 +54,7 @@ class InMemoryStorage(StorageEngine):
         self.stats.bytes_written += len(value)
         self._charge("write", total_bytes=len(value))
 
-    def delete(self, key: str) -> None:
+    async def delete_async(self, key: str) -> None:
         with self._lock:
             existed = self._data.pop(key, None) is not None
         self.stats.deletes += 1
@@ -62,7 +62,7 @@ class InMemoryStorage(StorageEngine):
             self.stats.items_deleted += 1
         self._charge("delete")
 
-    def list_keys(self, prefix: str = "") -> list[str]:
+    async def list_keys_async(self, prefix: str = "") -> list[str]:
         with self._lock:
             keys = sorted(k for k in self._data if k.startswith(prefix))
         self.stats.lists += 1
@@ -70,7 +70,7 @@ class InMemoryStorage(StorageEngine):
         return keys
 
     # ------------------------------------------------------------------ #
-    def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
+    async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
         keys = list(keys)
         with self._lock:
             result = {key: self._data.get(key) for key in keys}
@@ -81,7 +81,7 @@ class InMemoryStorage(StorageEngine):
         self._charge("batch_read", n_items=max(1, len(keys)), total_bytes=total)
         return result
 
-    def multi_put(self, items: Mapping[str, bytes]) -> None:
+    async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
         if self.max_batch_size is not None and len(items) > self.max_batch_size:
             raise BatchTooLargeError(
                 f"batch of {len(items)} items exceeds the {self.max_batch_size}-item limit"
@@ -95,7 +95,7 @@ class InMemoryStorage(StorageEngine):
         self.stats.bytes_written += total
         self._charge("batch_write", n_items=max(1, len(items)), total_bytes=total)
 
-    def multi_delete(self, keys: Iterable[str]) -> None:
+    async def multi_delete_async(self, keys: Iterable[str]) -> None:
         keys = list(keys)
         with self._lock:
             for key in keys:

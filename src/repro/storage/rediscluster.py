@@ -64,7 +64,7 @@ class SimulatedRedisCluster(StorageEngine):
         return self._shards[self.shard_of(key)]
 
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> bytes | None:
+    async def get_async(self, key: str) -> bytes | None:
         with self._lock:
             value = self._shard(key).get(key)
         self.stats.reads += 1
@@ -74,7 +74,7 @@ class SimulatedRedisCluster(StorageEngine):
         self._charge("read", total_bytes=len(value) if value else 0)
         return value
 
-    def put(self, key: str, value: bytes) -> None:
+    async def put_async(self, key: str, value: bytes) -> None:
         with self._lock:
             self._shard(key)[key] = bytes(value)
         self.stats.writes += 1
@@ -82,7 +82,7 @@ class SimulatedRedisCluster(StorageEngine):
         self.stats.bytes_written += len(value)
         self._charge("write", total_bytes=len(value))
 
-    def delete(self, key: str) -> None:
+    async def delete_async(self, key: str) -> None:
         with self._lock:
             existed = self._shard(key).pop(key, None) is not None
         self.stats.deletes += 1
@@ -90,7 +90,7 @@ class SimulatedRedisCluster(StorageEngine):
             self.stats.items_deleted += 1
         self._charge("delete")
 
-    def list_keys(self, prefix: str = "") -> list[str]:
+    async def list_keys_async(self, prefix: str = "") -> list[str]:
         with self._lock:
             keys = sorted(
                 key
@@ -145,7 +145,7 @@ class SimulatedRedisCluster(StorageEngine):
         self._charge("batch_read", n_items=len(keys), total_bytes=total)
         return result
 
-    def multi_put(self, items: Mapping[str, bytes]) -> None:
+    async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
         """Group ``items`` by shard and issue one MSET per shard.
 
         The engine still charges one request per shard, so a write set spread
@@ -158,7 +158,7 @@ class SimulatedRedisCluster(StorageEngine):
         for shard_items in by_shard.values():
             self.mset(shard_items)
 
-    def multi_get(self, keys: Iterable[str]) -> dict[str, bytes | None]:
+    async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
         """Group ``keys`` by shard and issue one MGET per shard."""
         by_shard: dict[int, list[str]] = {}
         for key in keys:
@@ -170,8 +170,9 @@ class SimulatedRedisCluster(StorageEngine):
 
     # ------------------------------------------------------------------ #
     # IO-plan capability hooks: group a stage's operations by shard so each
-    # shard receives one MSET/MGET, and the per-shard requests of one stage
-    # run concurrently (max, not sum, of shard latencies).
+    # shard receives one MSET/MGET (a one-shard ``multi_*_async`` call), and
+    # the per-shard requests of one stage run concurrently (max, not sum, of
+    # shard latencies).
     # ------------------------------------------------------------------ #
     def _plan_put_groups(self, items: Mapping[str, bytes]) -> list[dict[str, bytes]]:
         by_shard: dict[int, dict[str, bytes]] = {}
@@ -179,25 +180,13 @@ class SimulatedRedisCluster(StorageEngine):
             by_shard.setdefault(self.shard_of(key), {})[key] = value
         return list(by_shard.values())
 
-    def _execute_put_group(self, group: Mapping[str, bytes]) -> None:
-        if len(group) > 1:
-            self.mset(group)
-        else:
-            for key, value in group.items():
-                self.put(key, value)
-
     def _plan_get_groups(self, keys: Iterable[str]) -> list[list[str]]:
         by_shard: dict[int, list[str]] = {}
         for key in keys:
             by_shard.setdefault(self.shard_of(key), []).append(key)
         return list(by_shard.values())
 
-    def _execute_get_group(self, keys: list[str]) -> dict[str, bytes | None]:
-        if len(keys) > 1:
-            return self.mget(keys)
-        return {keys[0]: self.get(keys[0])}
-
-    def multi_delete(self, keys: Iterable[str]) -> None:
+    async def multi_delete_async(self, keys: Iterable[str]) -> None:
         keys = list(keys)
         with self._lock:
             for key in keys:

@@ -72,7 +72,7 @@ class SimulatedS3(StorageEngine):
         return self._rng.uniform(0.0, self.inconsistency_window)
 
     # ------------------------------------------------------------------ #
-    def get(self, key: str) -> bytes | None:
+    async def get_async(self, key: str) -> bytes | None:
         now = self._now()
         with self._lock:
             history = self._objects.get(key)
@@ -88,7 +88,7 @@ class SimulatedS3(StorageEngine):
         self._charge("read", total_bytes=len(value) if value else 0)
         return value
 
-    def put(self, key: str, value: bytes) -> None:
+    async def put_async(self, key: str, value: bytes) -> None:
         now = self._now()
         with self._lock:
             history = self._objects.setdefault(key, [])
@@ -101,7 +101,7 @@ class SimulatedS3(StorageEngine):
         self.stats.bytes_written += len(value)
         self._charge("write", total_bytes=len(value))
 
-    def delete(self, key: str) -> None:
+    async def delete_async(self, key: str) -> None:
         with self._lock:
             existed = self._objects.pop(key, None) is not None
         self.stats.deletes += 1
@@ -109,7 +109,7 @@ class SimulatedS3(StorageEngine):
             self.stats.items_deleted += 1
         self._charge("delete")
 
-    def list_keys(self, prefix: str = "") -> list[str]:
+    async def list_keys_async(self, prefix: str = "") -> list[str]:
         with self._lock:
             keys = sorted(k for k in self._objects if k.startswith(prefix))
         self.stats.lists += 1
@@ -120,7 +120,7 @@ class SimulatedS3(StorageEngine):
     # via the StorageEngine defaults, which is exactly the behaviour the paper
     # calls out as expensive.
 
-    def multi_delete(self, keys: Iterable[str]) -> None:
+    async def multi_delete_async(self, keys: Iterable[str]) -> None:
         """S3 *does* support bulk deletes (DeleteObjects, up to 1000 keys)."""
         keys = list(keys)
         with self._lock:

@@ -224,8 +224,8 @@ class RecordingStorage(LatencyInjectedStorage):
         self.completions: list[tuple[str, float]] = []
         self._completions_lock = threading.Lock()
 
-    def put(self, key, value):
-        super().put(key, value)
+    async def put_async(self, key, value):
+        await super().put_async(key, value)
         with self._completions_lock:
             self.completions.append((key, time.monotonic()))
 

@@ -44,13 +44,13 @@ class CommitRecordFailingStorage(InMemoryStorage):
         if self.failing and any(is_commit_record_key(key) for key in keys):
             raise StorageUnavailableError("injected fault: commit-record write lost")
 
-    def put(self, key, value):
+    async def put_async(self, key, value):
         self._check([key])
-        super().put(key, value)
+        await super().put_async(key, value)
 
-    def multi_put(self, items):
+    async def multi_put_async(self, items):
         self._check(items.keys())
-        super().multi_put(items)
+        await super().multi_put_async(items)
 
 
 def make_node(storage, clock=None, **config_overrides) -> AftNode:
@@ -182,12 +182,12 @@ class TestWriteOrderingUnderFaults:
                 super().__init__()
                 self.record_writes = 0
 
-            def put(self, key, value):
+            async def put_async(self, key, value):
                 if is_commit_record_key(key):
                     self.record_writes += 1
                     if self.record_writes == 2:
                         raise StorageUnavailableError("injected fault: second record lost")
-                super().put(key, value)
+                await super().put_async(key, value)
 
         storage = SecondRecordFailingStorage()
         node = make_node(storage, group_commit_max_txns=1)

@@ -215,21 +215,21 @@ class TestFaultManager:
         a.commit_transaction(setup)
         multicast.run_once()
 
-        original_put = shared_storage.put
-        original_multi_put = shared_storage.multi_put
+        original_put = shared_storage.put_async
+        original_multi_put = shared_storage.multi_put_async
 
-        def failing_put(key, value):
+        async def failing_put(key, value):
             if is_commit_record_key(key):
                 raise StorageUnavailableError("crash before the record stage")
-            original_put(key, value)
+            await original_put(key, value)
 
-        def failing_multi_put(items):
+        async def failing_multi_put(items):
             if any(is_commit_record_key(key) for key in items):
                 raise StorageUnavailableError("crash before the record stage")
-            original_multi_put(items)
+            await original_multi_put(items)
 
-        shared_storage.put = failing_put
-        shared_storage.multi_put = failing_multi_put
+        shared_storage.put_async = failing_put
+        shared_storage.multi_put_async = failing_multi_put
         try:
             txid = a.start_transaction()
             a.put(txid, "p", b"p1")
@@ -237,8 +237,8 @@ class TestFaultManager:
             with pytest.raises(StorageUnavailableError):
                 a.commit_transactions([txid])
         finally:
-            shared_storage.put = original_put
-            shared_storage.multi_put = original_multi_put
+            shared_storage.put_async = original_put
+            shared_storage.multi_put_async = original_multi_put
         a.fail()
 
         assert manager.scan_commit_set() == []

@@ -178,20 +178,20 @@ class TestShardedScan:
 
         blocking = [True]
         blocked_key = commit_record_key(torn.txid)
-        original_get, original_multi = storage.get, storage.multi_get
+        original_get, original_multi = storage.get_async, storage.multi_get_async
 
-        def get(key):
+        async def get(key):
             if blocking[0] and key == blocked_key:
                 return None
-            return original_get(key)
+            return await original_get(key)
 
-        def multi_get(keys):
-            out = original_multi(keys)
+        async def multi_get(keys):
+            out = await original_multi(keys)
             if blocking[0] and blocked_key in out:
                 out[blocked_key] = None
             return out
 
-        storage.get, storage.multi_get = get, multi_get
+        storage.get_async, storage.multi_get_async = get, multi_get
         try:
             assert manager.scan_commit_set() == []
             shard = manager.shard_for(torn.txid)
@@ -204,7 +204,7 @@ class TestShardedScan:
             assert manager.scan_commit_set() == []
             assert shard.pending_reads[torn.txid] == 2
         finally:
-            storage.get, storage.multi_get = original_get, original_multi
+            storage.get_async, storage.multi_get_async = original_get, original_multi
 
         recovered = manager.scan_commit_set()
         assert [record.txid for record in recovered] == [torn.txid]
