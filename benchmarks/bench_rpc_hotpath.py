@@ -64,10 +64,10 @@ class _CountingRouter(RouterServer):
         self.storage_frames = 0
         self.storage_ops = 0
 
-    def _handle_storage(self, msg):
+    async def _handle_storage(self, msg):
         self.storage_frames += 1
         self.storage_ops += 1
-        return super()._handle_storage(msg)
+        return await super()._handle_storage(msg)
 
     async def _handle_storage_batch(self, conn, msg):
         self.storage_frames += 1

@@ -316,11 +316,6 @@ class FaultManagerConfig:
         records surfacing with bounded clock skew (a node's local clock may
         lag its peers by at most this much — the paper's loosely-synchronised
         clock assumption).
-    parallel_recovery:
-        Whether node-failure recovery replays the shards concurrently on the
-        shared bounded IO executor (:mod:`repro.runtime`), not a private
-        pool.  Scans stay sequential (deterministic); the simulator charges
-        per-shard parallel latency either way.
     """
 
     num_shards: int = 4
@@ -328,7 +323,6 @@ class FaultManagerConfig:
     scan_read_batch: int = 64
     max_records_per_scan: int | None = None
     watermark_lag: float = 30.0
-    parallel_recovery: bool = True
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -352,7 +346,6 @@ class FaultManagerConfig:
             "scan_read_batch": self.scan_read_batch,
             "max_records_per_scan": self.max_records_per_scan,
             "watermark_lag": self.watermark_lag,
-            "parallel_recovery": self.parallel_recovery,
         }
 
 
@@ -459,8 +452,6 @@ class ClusterConfig:
     num_nodes: int = 1
     node_config: AftConfig = field(default_factory=AftConfig)
     standby_nodes: int = 1
-    failure_detection_interval: float = 5.0
-    node_replacement_delay: float = 50.0
     balancer: str = "round_robin"
     hash_ring_replicas: int = 100
     autoscaler: AutoscalerPolicy | None = None

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from repro import runtime
 from repro.core.metadata_plane.keyspace import CommitKeyspace, FlatCommitKeyspace
 from repro.ids import (
     COMMIT_PREFIX,
@@ -216,10 +217,14 @@ class CommitSetStore:
         self._engine.put(self.record_storage_key(record.txid), record.to_bytes())
 
     def read_record(self, txid: TransactionId) -> CommitRecord | None:
+        """Sync facade: drive :meth:`read_record_async` to completion."""
+        return runtime.drive(self.read_record_async(txid), self._engine)
+
+    async def read_record_async(self, txid: TransactionId) -> CommitRecord | None:
         """Return the commit record for ``txid`` or ``None`` if absent."""
-        data = self._engine.get(self.record_storage_key(txid))
+        data = await self._engine.get_async(self.record_storage_key(txid))
         if data is None and self._legacy_may_exist:
-            data = self._engine.get(commit_record_key(txid))
+            data = await self._engine.get_async(commit_record_key(txid))
             if data is not None:
                 self.stats.legacy_fallback_reads += 1
         if data is None:
@@ -271,7 +276,7 @@ class CommitSetStore:
     # ------------------------------------------------------------------ #
     # Listings
     # ------------------------------------------------------------------ #
-    def _legacy_transaction_ids(self) -> list[TransactionId]:
+    async def _legacy_transaction_ids(self) -> list[TransactionId]:
         """Ids still parked under the legacy flat prefix (migration shim).
 
         Latches :attr:`_legacy_may_exist` off the first time the prefix
@@ -281,13 +286,17 @@ class CommitSetStore:
         if not self._legacy_may_exist:
             return []
         self.stats.legacy_listings += 1
-        keys = self._engine.list_keys(prefix=COMMIT_PREFIX)
+        keys = await self._engine.list_keys_async(prefix=COMMIT_PREFIX)
         ids = [parse_commit_record_key(key) for key in keys if is_commit_record_key(key)]
         if not ids:
             self._legacy_may_exist = False
         return ids
 
     def list_transaction_ids(self, partition: str | None = None) -> list[TransactionId]:
+        """Sync facade: drive :meth:`list_transaction_ids_async` to completion."""
+        return runtime.drive(self.list_transaction_ids_async(partition), self._engine)
+
+    async def list_transaction_ids_async(self, partition: str | None = None) -> list[TransactionId]:
         """Ids of commit records currently in storage, oldest first.
 
         ``partition`` restricts the listing to one keyspace partition — a
@@ -299,28 +308,32 @@ class CommitSetStore:
             self.stats.full_listings += 1
             ids: list[TransactionId] = []
             for part in self.keyspace.partitions():
-                keys = self._engine.list_keys(prefix=self.keyspace.prefix_for(part))
+                keys = await self._engine.list_keys_async(prefix=self.keyspace.prefix_for(part))
                 ids.extend(
                     txid
                     for txid in (self.keyspace.parse(key) for key in keys)
                     if txid is not None
                 )
-            ids.extend(self._legacy_transaction_ids())
+            ids.extend(await self._legacy_transaction_ids())
         else:
             self.stats.partition_listings += 1
-            keys = self._engine.list_keys(prefix=self.keyspace.prefix_for(partition))
+            keys = await self._engine.list_keys_async(prefix=self.keyspace.prefix_for(partition))
             ids = [
                 txid for txid in (self.keyspace.parse(key) for key in keys) if txid is not None
             ]
             ids.extend(
                 txid
-                for txid in self._legacy_transaction_ids()
+                for txid in await self._legacy_transaction_ids()
                 if self.keyspace.partition_for(txid) == partition
             )
         ids.sort()
         return ids
 
     def list_transaction_ids_by_partition(self) -> dict[str, list[TransactionId]]:
+        """Sync facade: drive :meth:`list_transaction_ids_by_partition_async`."""
+        return runtime.drive(self.list_transaction_ids_by_partition_async(), self._engine)
+
+    async def list_transaction_ids_by_partition_async(self) -> dict[str, list[TransactionId]]:
         """Every partition's sorted ids, with the legacy prefix listed once.
 
         The sweep entry point: calling :meth:`list_transaction_ids` per
@@ -331,31 +344,35 @@ class CommitSetStore:
         out: dict[str, list[TransactionId]] = {}
         for partition in self.keyspace.partitions():
             self.stats.partition_listings += 1
-            keys = self._engine.list_keys(prefix=self.keyspace.prefix_for(partition))
+            keys = await self._engine.list_keys_async(prefix=self.keyspace.prefix_for(partition))
             out[partition] = [
                 txid for txid in (self.keyspace.parse(key) for key in keys) if txid is not None
             ]
-        for txid in self._legacy_transaction_ids():
+        for txid in await self._legacy_transaction_ids():
             out[self.keyspace.partition_for(txid)].append(txid)
         for ids in out.values():
             ids.sort()
         return out
 
     def scan(self, limit: int | None = None, newest_first: bool = True) -> list[CommitRecord]:
+        """Sync facade: drive :meth:`scan_async` to completion."""
+        return runtime.drive(self.scan_async(limit, newest_first), self._engine)
+
+    async def scan_async(self, limit: int | None = None, newest_first: bool = True) -> list[CommitRecord]:
         """Read commit records from storage.
 
         ``limit`` bounds the number of records read (newest first by default),
         which is how a recovering node warms its metadata cache without
         reading the entire history (Section 3.1).
         """
-        ids = self.list_transaction_ids()
+        ids = await self.list_transaction_ids_async()
         if newest_first:
             ids = list(reversed(ids))
         if limit is not None:
             ids = ids[:limit]
         records = []
         for txid in ids:
-            record = self.read_record(txid)
+            record = await self.read_record_async(txid)
             if record is not None:
                 records.append(record)
         return records

@@ -40,11 +40,12 @@ concern Section 5.2 raises.  This implementation shards the service:
   ``pending_reads`` and retried on every subsequent sweep until it resolves;
   the watermark never advances past an unresolved id, so a torn write can
   never be forgotten.
-* **Parallel failover.**  Node-failure recovery replays the failed node's
-  unbroadcast commits shard-by-shard (concurrently when
-  ``parallel_recovery`` is set), reclaims the orphaned spilled keys of its
-  Atomic Write Buffer, and leaves standby promotion to the cluster's
-  existing autoscaler path.
+* **Sharded failover.**  Node-failure recovery replays the failed node's
+  unbroadcast commits shard by shard, reclaims the orphaned spilled keys of
+  its Atomic Write Buffer, and leaves standby promotion to the cluster's
+  existing autoscaler path.  Shards replay one after another; their
+  per-shard costs are reported so a deployment model can charge them as
+  concurrent.
 
 The seed singleton is preserved verbatim in
 :mod:`repro.core.fault_manager_reference`; the property tests assert both
@@ -59,7 +60,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from repro import runtime
 from repro.config import FaultManagerConfig
 from repro.core.commit_set import CommitRecord, CommitSetStore
 from repro.core.garbage_collector import GlobalDataGC
@@ -164,7 +164,7 @@ class ScanReport:
 
 @dataclass
 class RecoveryReport:
-    """Outcome of one node-failure recovery (parallel shard replay)."""
+    """Outcome of one node-failure recovery (one replay per shard)."""
 
     node_id: str
     recovered: list[CommitRecord] = field(default_factory=list)
@@ -182,8 +182,7 @@ class FaultManagerShard:
     Owns the slice's :class:`SeenDigest`, its resumable sweep cursor, its
     unresolved (torn) record reads, and custody of the retired-node GC sets
     whose ids fall in the slice.  All state is guarded by a per-shard lock,
-    so shards can be swept concurrently during parallel recovery while
-    broadcast ingestion keeps landing.
+    so a sweep and broadcast ingestion from other threads never race.
     """
 
     def __init__(self, shard_id: str, commit_store: CommitSetStore, config: FaultManagerConfig) -> None:
@@ -332,7 +331,7 @@ class FaultManagerStats:
     torn_reads_deferred: int = 0
     #: Digest entries pruned by watermark advances.
     watermark_prunes: int = 0
-    #: Node-failure recoveries performed (parallel shard replay).
+    #: Node-failure recoveries performed.
     node_recoveries: int = 0
     #: Orphaned write-buffer spill keys reclaimed during recovery.
     orphan_spills_reclaimed: int = 0
@@ -546,32 +545,23 @@ class FaultManager:
     def recover_node_failure(self, node: AftNode) -> RecoveryReport:
         """Replay everything a crashed node knew that the cluster might not.
 
-        Every shard sweeps its full slice of the Commit Set (concurrently
-        when ``parallel_recovery`` is configured): the unseen records found
-        are exactly the failed node's commit-acknowledged-but-unbroadcast
-        transactions, which are replayed to the surviving nodes and the
-        global GC.  The node's orphaned write-buffer spills (persisted but
-        referenced by no commit record) are reclaimed in one delete plan.
+        Every shard, one after another, sweeps its full slice of the Commit
+        Set: the unseen records found are exactly the failed node's
+        commit-acknowledged-but-unbroadcast transactions, which are replayed
+        to the surviving nodes and the global GC.  The node's orphaned
+        write-buffer spills (persisted but referenced by no commit record)
+        are reclaimed in one delete plan.
         Standby promotion is the cluster's job — the same autoscaler path
         that serves elastic scale-up.
         """
         started = time.perf_counter()
         owned = self._owned_ids()
 
-        def replay(shard: FaultManagerShard) -> tuple[list[CommitRecord], ShardScanReport]:
-            return shard.scan(owned[shard.shard_id], budget=None)
-
         with tr.span("fm.recover", node=node.node_id) as recover_span:
-            shards = list(self._shards.values())
-            if self.config.parallel_recovery and len(shards) > 1:
-                # The replay rides the shared bounded IO runtime instead of a
-                # private per-recovery thread pool: recovery contends for the
-                # same in-flight-request budget as the data path.
-                outcomes = runtime.run_blocking_group(
-                    [lambda s=shard: replay(s) for shard in shards]
-                )
-            else:
-                outcomes = [replay(shard) for shard in shards]
+            outcomes = [
+                shard.scan(owned[shard.shard_id], budget=None)
+                for shard in self._shards.values()
+            ]
 
             recovered = sorted(
                 (record for shard_recovered, _ in outcomes for record in shard_recovered),

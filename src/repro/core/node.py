@@ -301,11 +301,15 @@ class AftNode:
             )
 
     def bootstrap(self) -> int:
+        """Sync facade: drive :meth:`bootstrap_async` to completion."""
+        return runtime.drive(self.bootstrap_async(), self.commit_store.engine)
+
+    async def bootstrap_async(self) -> int:
         """Warm the metadata cache from the Transaction Commit Set.
 
         Returns the number of commit records loaded.
         """
-        records = self.commit_store.scan(limit=self.config.metadata_bootstrap_limit)
+        records = await self.commit_store.scan_async(limit=self.config.metadata_bootstrap_limit)
         return self.metadata_cache.add_many(records)
 
     def _require_running(self) -> None:

@@ -45,8 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (config imports nothi
 _ENABLED = False
 
 #: The in-process propagation channel.  Asyncio tasks copy the context at
-#: creation and threads started via :func:`repro.runtime.marked` carry a
-#: snapshot, so a span opened around an ``await`` or an executor hop still
+#: creation and :func:`repro.runtime.drive` runs its coroutine in a copy of
+#: the caller's, so a span opened around an ``await`` or a sync facade still
 #: parents its children correctly.  The stored value is a plain
 #: ``(trace_id, span_id)`` tuple — :class:`TraceContext` where type clarity
 #: matters, but the hot path stores bare tuples (a NamedTuple construction

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import logging
 import sys
+from typing import Awaitable, Callable
 
 from repro.config import AftConfig
 from repro.core.commit_set import CommitSetStore
@@ -38,11 +40,13 @@ from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
-from repro.rpc.framing import RpcConnection, connect, pin_malloc_thresholds
+from repro.rpc.framing import ConnectionClosedError, RpcConnection, connect, pin_malloc_thresholds
 from repro.rpc.storage_client import RemoteStorage
 
 #: How often drained commits are published to the router's commit hub.
 PUBLISH_INTERVAL = 0.05
+
+logger = logging.getLogger(__name__)
 
 
 class NodeServer:
@@ -117,20 +121,23 @@ class NodeServer:
             await self._come_online(ack.epoch)
 
         self._tasks = [
-            loop.create_task(self._heartbeat_loop()),
-            loop.create_task(self._publish_loop()),
+            loop.create_task(self._every(self.heartbeat_interval, self._heartbeat, "heartbeat")),
+            loop.create_task(self._every(PUBLISH_INTERVAL, self._publish_now, "commit publish")),
         ]
         self._sink.start()
 
     async def _come_online(self, epoch: int) -> None:
-        """Start serving: adopt the fencing token, bootstrap off-loop."""
+        """Start serving: adopt the fencing token, then bootstrap.
+
+        The bootstrap scan awaits :class:`RemoteStorage` on this loop, so
+        heartbeats, deliveries and other frames keep flowing while the
+        Commit Set is read.
+        """
         assert self.node is not None
         if epoch:
             self.node.fence_token = FenceToken(node_id=self.node_id, epoch=epoch)
         self.node.start(bootstrap=False)
-        # The bootstrap scan is the sync commit-set path; RemoteStorage's
-        # sync facade bridges from a worker thread back onto this loop.
-        await asyncio.to_thread(self.node.bootstrap)
+        await self.node.bootstrap_async()
         self._serving.set()
 
     async def run_forever(self) -> None:
@@ -155,25 +162,28 @@ class NodeServer:
     # ------------------------------------------------------------------ #
     # Background loops
     # ------------------------------------------------------------------ #
-    async def _heartbeat_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.heartbeat_interval)
-            if self.heartbeats_paused or not self._serving.is_set():
-                continue
-            try:
-                await self.conn.notify(m.Heartbeat(node_id=self.node_id))
-            except Exception:
-                return
+    async def _every(self, interval: float, action: Callable[[], Awaitable[None]], what: str) -> None:
+        """Await ``action()`` every ``interval`` seconds while serving.
 
-    async def _publish_loop(self) -> None:
+        A failure is logged and the next tick tries again: one transient
+        error must not end lease renewals (the lease would lapse and a
+        healthy node would be fenced) or commit publishing.  Only a closed
+        connection ends the loop.
+        """
         while True:
-            await asyncio.sleep(PUBLISH_INTERVAL)
+            await asyncio.sleep(interval)
             if not self._serving.is_set():
                 continue
             try:
-                await self._publish_now()
-            except Exception:
+                await action()
+            except ConnectionClosedError:
                 return
+            except Exception:
+                logger.exception("node %s: %s failed", self.node_id, what)
+
+    async def _heartbeat(self) -> None:
+        if not self.heartbeats_paused:
+            await self.conn.notify(m.Heartbeat(node_id=self.node_id))
 
     async def _publish_now(self) -> None:
         records = self.node.drain_recent_commits()

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 
-from repro import runtime
 from repro.config import ObservabilityConfig
 from repro.core.commit_set import CommitRecord
 from repro.core.metadata_plane.fencing import EpochFence
@@ -90,7 +89,6 @@ class RouterServer:
         storage: StorageEngine | None = None,
         lease_duration: float = 5.0,
         heartbeat_interval: float = 1.0,
-        storage_batch_concurrency: int = 16,
         observability: ObservabilityConfig | None = None,
     ) -> None:
         if lease_duration <= heartbeat_interval:
@@ -100,7 +98,6 @@ class RouterServer:
         self.storage = storage if storage is not None else InMemoryStorage()
         self.lease_duration = lease_duration
         self.heartbeat_interval = heartbeat_interval
-        self.storage_batch_concurrency = max(1, storage_batch_concurrency)
         self.fence = EpochFence()
 
         self._server: asyncio.AbstractServer | None = None
@@ -109,9 +106,6 @@ class RouterServer:
         self._round_robin = 0
         self._lease_task: asyncio.Task | None = None
         self._commits_seen = 0
-        #: Guards the storage engine: its operations are instant, and one
-        #: lock keeps fence-check-then-write atomic under handler concurrency.
-        self._storage_lock = threading.Lock()
         self.observability = observability if observability is not None else ObservabilityConfig()
         tr.apply_config(self.observability)
         #: The router's metrics registry — scrapeable over the wire via the
@@ -228,7 +222,7 @@ class RouterServer:
     # ------------------------------------------------------------------ #
     async def _handle(self, conn: RpcConnection, msg: m.WireMessage) -> m.WireMessage | None:
         if isinstance(msg, m.StorageRequest):
-            return self._handle_storage(msg)
+            return await self._handle_storage(msg)
         if isinstance(msg, m.StorageBatch):
             return await self._handle_storage_batch(conn, msg)
         if isinstance(msg, m.Heartbeat):
@@ -394,53 +388,51 @@ class RouterServer:
         record = CommitRecord.from_bytes(value)
         self.fence.check(record.node_id, record.epoch)
 
-    def _apply_op_sync(self, op: StorageOp) -> StorageOpResult:
-        """Apply one storage op under the lock (fence checks included).
+    async def _apply_op(self, op: StorageOp) -> StorageOpResult:
+        """Apply one storage op to the engine (fence checks included).
 
         The single authority for both wire shapes: ``storage`` frames and
         each op of a ``storage_batch`` frame land here, so the fencing gate
-        cannot be bypassed by taking the batched path.
+        cannot be bypassed by taking the batched path.  The fence check and
+        the write it guards share this coroutine on the loop that also runs
+        ``fence.grant`` / ``revoke``: over a metered engine ``put_async``
+        never suspends, so check-then-write is one uninterrupted step.
         """
-        with self._storage_lock:
-            if op.op == "get":
-                key = op.keys[0]
-                return StorageOpResult(values={key: self.storage.get(key)})
-            if op.op == "multi_get":
-                return StorageOpResult(values=self.storage.multi_get(list(op.keys)))
-            if op.op in ("put", "multi_put"):
-                items = dict(op.items or {})
-                # Validate the whole request before writing any of it: a
-                # batch with one fenced record writes nothing (the
-                # group-commit flush relies on this all-or-nothing shape).
+        storage = self.storage
+        if op.op == "get":
+            key = op.keys[0]
+            return StorageOpResult(values={key: await storage.get_async(key)})
+        if op.op == "multi_get":
+            return StorageOpResult(values=await storage.multi_get_async(list(op.keys)))
+        if op.op in ("put", "multi_put"):
+            items = dict(op.items or {})
+            # Validate the whole request before writing any of it: a batch
+            # with one fenced record writes nothing (the group-commit flush
+            # relies on this all-or-nothing shape).
+            for key, value in items.items():
+                self._check_put_fence(key, value)
+            if op.op == "put":
                 for key, value in items.items():
-                    self._check_put_fence(key, value)
-                if op.op == "put":
-                    for key, value in items.items():
-                        self.storage.put(key, value)
-                else:
-                    self.storage.multi_put(items)
-                return StorageOpResult()
-            if op.op == "delete":
-                for key in op.keys:
-                    self.storage.delete(key)
-                return StorageOpResult()
-            if op.op == "multi_delete":
-                self.storage.multi_delete(list(op.keys))
-                return StorageOpResult()
-            if op.op in ("list", "list_keys"):
-                return StorageOpResult(keys=self.storage.list_keys(prefix=op.prefix))
+                    await storage.put_async(key, value)
+            else:
+                await storage.multi_put_async(items)
+            return StorageOpResult()
+        if op.op == "delete":
+            for key in op.keys:
+                await storage.delete_async(key)
+            return StorageOpResult()
+        if op.op == "multi_delete":
+            await storage.multi_delete_async(list(op.keys))
+            return StorageOpResult()
+        if op.op in ("list", "list_keys"):
+            return StorageOpResult(keys=await storage.list_keys_async(prefix=op.prefix))
         raise AftError(f"unknown storage op {op.op!r}")
 
-    def _handle_storage(self, msg: m.StorageRequest) -> m.StorageResponse:
+    async def _handle_storage(self, msg: m.StorageRequest) -> m.StorageResponse:
         self.metrics.counter("storage_ops").inc()
+        op = StorageOp(op=msg.op, keys=tuple(msg.keys), items=msg.items or None, prefix=msg.prefix)
         with tr.span("router.storage", parent=msg.trace, op=msg.op):
-            result = self._apply_op_sync(
-                StorageOp(
-                    op=msg.op, keys=tuple(msg.keys), items=msg.items or None, prefix=msg.prefix
-                )
-            )
-        if result.error is not None:  # pragma: no cover - sync applier raises
-            raise result.error
+            result = await self._apply_op(op)
         return m.StorageResponse(values=result.values or {}, keys=result.keys or [])
 
     async def _handle_storage_batch(
@@ -448,37 +440,24 @@ class RouterServer:
     ) -> m.StorageBatchResult:
         """Execute one batched op group, one reply frame, errors per op.
 
-        Ops fan out under a bounded gather (mirroring the engine-side plan
-        fan-out); the storage lock inside :meth:`_apply_op_sync` keeps each
-        fence-check-then-write atomic exactly as on the single-op path.
-        Wall-clock engines run their ops on the IO executor so a blocking
-        backend cannot stall the router's event loop.
+        Ops are issued the way ``execute_plan_async`` issues a stage
+        (:meth:`StorageEngine.fan_out`): awaited in order over a metered
+        engine, gathered on this loop under ``effective_io_concurrency`` over
+        a wall-clock engine.
         """
         ops = m.decode_storage_ops(msg)
         conn.stats.batched_ops_received += len(ops)
         self.metrics.counter("storage_ops").inc(len(ops))
         self.metrics.counter("storage_batches").inc()
 
-        def apply_checked(op: StorageOp) -> StorageOpResult:
+        async def apply_checked(op: StorageOp) -> StorageOpResult:
             try:
-                return self._apply_op_sync(op)
+                return await self._apply_op(op)
             except Exception as exc:
                 return StorageOpResult(error=exc)
 
         with tr.span("router.storage_batch", parent=msg.trace, n_ops=len(ops)):
-            if not self.storage.wall_clock_io:
-                results = [apply_checked(op) for op in ops]
-                return m.encode_storage_results(results)
-            loop = asyncio.get_running_loop()
-            limit = asyncio.Semaphore(self.storage_batch_concurrency)
-
-            async def run_one(op: StorageOp) -> StorageOpResult:
-                async with limit:
-                    return await loop.run_in_executor(
-                        runtime.io_executor(), runtime.marked(lambda: apply_checked(op))
-                    )
-
-            results = list(await asyncio.gather(*(run_one(op) for op in ops)))
+            results = await self.storage.fan_out([functools.partial(apply_checked, op) for op in ops])
             return m.encode_storage_results(results)
 
 

@@ -22,11 +22,12 @@ batched ``execute_group_async`` accounts per op for the plan path, and the
 submission machinery (`_submit`, the coalescer) never accounts.  Nothing is
 double-counted whichever path an op takes.
 
-The base class's sync names (``get``, ``list_keys``, ...) stay usable *off*
-the event loop: :func:`repro.runtime.drive` runs their coroutine on the
-connection's loop and blocks the caller, which is how ``AftNode.bootstrap``
-— a sync commit-set scan — runs in a worker thread during node warm-up.
-Calling them *on* the loop thread raises instead of deadlocking.
+Code on the connection's loop (the node server, ``AftNode.bootstrap_async``)
+awaits the ``*_async`` coroutines.  The base class's sync names (``get``,
+``list_keys``, ...) serve callers on *other* threads:
+:func:`repro.runtime.drive` runs their coroutine on the connection's loop
+and blocks the caller.  Calling them *on* the loop thread raises instead of
+deadlocking.
 """
 
 from __future__ import annotations

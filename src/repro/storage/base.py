@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
 import itertools
 import threading
 from abc import ABC, abstractmethod
@@ -484,13 +485,11 @@ class StorageEngine(ABC):
                     stage_id = next(_stage_ids)
                     if self.supports_storage_batches:
                         outcomes = await self._execute_stage_batched(stage, stage_id)
-                    elif self.wall_clock_io:
-                        outcomes = await self._gather_groups(self._stage_groups(stage), stage_id)
                     else:
-                        outcomes = [
-                            await self._run_group(group, stage_id)
-                            for group in self._stage_groups(stage)
-                        ]
+                        groups = self._stage_groups(stage)
+                        outcomes = await self.fan_out(
+                            [functools.partial(self._run_group, group, stage_id) for group in groups]
+                        )
                     self._collect_stage(outcomes, inner, result)
         finally:
             # Surface the charges of completed groups even when cancelled
@@ -500,17 +499,22 @@ class StorageEngine(ABC):
         self._record_plan_stats(plan)
         return result
 
-    async def _gather_groups(
-        self, groups: list[_Group], stage_id: int
-    ) -> list[tuple[dict[str, bytes | None] | None, CostLedger]]:
-        """Fan one stage's groups out as coroutines on the loop, bounded."""
+    async def fan_out(self, requests: list[Callable[[], Coroutine[Any, Any, Any]]]) -> list[Any]:
+        """Issue independent requests the way this engine runs them; results in order.
+
+        Over a ``wall_clock_io`` engine they are gathered on the event loop,
+        at most :attr:`effective_io_concurrency` in flight at once; otherwise
+        each is awaited in turn (see :meth:`execute_plan_async` for why).
+        """
+        if not self.wall_clock_io:
+            return [await request() for request in requests]
         limit = asyncio.Semaphore(self.effective_io_concurrency)
 
-        async def bounded(group: _Group):
+        async def bounded(request: Callable[[], Coroutine[Any, Any, Any]]) -> Any:
             async with limit:
-                return await self._run_group(group, stage_id)
+                return await request()
 
-        return list(await asyncio.gather(*(bounded(group) for group in groups)))
+        return list(await asyncio.gather(*(bounded(request) for request in requests)))
 
     async def _run_group(
         self, group: _Group, stage_id: int

@@ -16,8 +16,10 @@ Three properties anchor the runtime:
 from __future__ import annotations
 
 import asyncio
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -366,56 +368,38 @@ class TestLatencyInjectedStorage:
 
 
 class TestRuntimeHelpers:
-    def test_configure_io_executor_validates(self):
-        with pytest.raises(ValueError):
-            runtime.configure_io_executor(0)
-
-    def test_worker_flag_marks_pool_threads(self):
-        assert not runtime.in_io_worker()
-        flags = runtime.run_blocking_group([runtime.in_io_worker] * 3)
-        assert all(flags)
-        assert not runtime.in_io_worker()
-
-    def test_nested_dispatch_runs_inline(self):
-        def outer():
-            # A nested fan-out from inside a worker must not wait on the
-            # same pool it occupies — it degrades to inline execution.
-            return runtime.run_blocking_group([lambda: threading.current_thread().name] * 2)
-
-        (names,) = runtime.run_blocking_group([outer])
-        assert len(set(names)) == 1  # both inner thunks ran on the one worker
-
-    def test_sync_plan_from_a_pool_worker_never_waits_on_the_pool(self):
-        # The fault manager's replay shape: sync execute_plan on a wall-clock
-        # engine from inside run_blocking_group.  With every worker occupied
-        # by such a caller, a plan that dispatched its groups back onto the
-        # pool would wait forever; the worker flag keeps it on the worker.
+    def test_sync_plans_from_plain_threads_never_deadlock(self):
+        # Several threads each drive a sync execute_plan on one wall-clock
+        # engine at once: every plan's groups run as coroutines on the one
+        # runtime loop, so no caller waits on a slot another caller holds.
         engine = LatencyInjectedStorage(
             SimulatedS3(latency_model=ZeroLatency()), injected=ConstantLatency(0.001)
         )
-        size = runtime.io_executor_size()
-        runtime.configure_io_executor(2)
-        try:
-            done = threading.Event()
 
-            def replay():
-                def one(i: int):
-                    engine.execute_plan(IOPlan.writes({f"w{i}/{j}": b"v" for j in range(3)}))
-                    return runtime.in_io_worker()
+        def one(i: int) -> None:
+            engine.execute_plan(IOPlan.writes({f"w{i}/{j}": b"v" for j in range(3)}))
 
-                flags = runtime.run_blocking_group([lambda i=i: one(i) for i in range(4)])
-                done.set()
-                return flags
-
-            holder: list = []
-            thread = threading.Thread(target=lambda: holder.append(replay()), daemon=True)
+        threads = [threading.Thread(target=one, args=(i,), daemon=True) for i in range(4)]
+        for thread in threads:
             thread.start()
-            assert done.wait(timeout=10.0), "nested plan deadlocked on the shared executor"
-            thread.join(timeout=5.0)
-            assert holder == [[True] * 4]
-            assert engine.stats.writes == 12
-        finally:
-            runtime.configure_io_executor(size)
+        deadline = time.monotonic() + 10.0
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(thread.is_alive() for thread in threads), "sync plans deadlocked"
+        assert engine.stats.writes == 12
+
+    def test_package_has_no_thread_hops(self):
+        # Storage IO runs as coroutines on the loop that owns it; no module
+        # may reach it through a worker thread again.
+        pattern = re.compile(r"concurrent\.futures|to_thread|run_in_executor|ThreadPoolExecutor")
+        root = Path(runtime.__file__).parent
+        offenders = [
+            f"{path.relative_to(root)}:{number}"
+            for path in sorted(root.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+        ]
+        assert not offenders, offenders
 
     def test_config_validates_io_concurrency(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,9 @@ acceptance bar from the paper's perspective:
   failed, a standby is promoted, and the old node's late commit-record
   write is rejected by its stale epoch token;
 * both storage frame shapes — ops coalesced into ``storage_batch`` frames,
-  and one ``storage`` frame per op — carry all of the above.
+  and one ``storage`` frame per op — carry all of the above;
+* the router serves storage as coroutines on its own loop: a slow engine
+  neither stalls the loop nor serializes concurrent sessions.
 """
 
 from __future__ import annotations
@@ -27,9 +29,15 @@ from repro.consistency.checker import AnomalyChecker, TransactionLog
 from repro.consistency.metadata import TaggedValue
 from repro.errors import FencedNodeError, UnknownTransactionError
 from repro.ids import TransactionId
+from repro.rpc import messages as m
 from repro.rpc.client import AsyncRouterClient
+from repro.rpc.framing import connect
 from repro.rpc.node_server import NodeServer
 from repro.rpc.router import RouterServer
+from repro.storage.base import StorageEngine
+from repro.storage.latency import ConstantLatency
+from repro.storage.latency_injected import LatencyInjectedStorage
+from repro.storage.memory import InMemoryStorage
 
 
 class SocketCluster:
@@ -42,9 +50,11 @@ class SocketCluster:
         lease_duration: float = 0.6,
         heartbeat_interval: float = 0.1,
         enable_storage_batching: bool = True,
+        storage: StorageEngine | None = None,
     ) -> None:
         self.router = RouterServer(
             port=0,
+            storage=storage,
             lease_duration=lease_duration,
             heartbeat_interval=heartbeat_interval,
         )
@@ -264,6 +274,154 @@ class TestNemesisFencing:
                 assert second >= first + 2
 
         asyncio.run(scenario())
+
+
+    def test_standby_promotion_needs_no_worker_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("asyncio.to_thread called on the node path")
+
+        async def scenario():
+            async with SocketCluster(n_nodes=1, standbys=1) as cluster:
+                monkeypatch.setattr(asyncio, "to_thread", no_threads)
+                client = cluster.client
+                tx = await client.start_transaction()
+                await client.put(tx, "before", b"promotion")
+                await client.commit_transaction(tx)
+
+                await client.nemesis("n0", pause_heartbeats=True)
+                deadline = asyncio.get_running_loop().time() + 5.0
+                while (await client.info()).nodes != ["s0"]:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.05)
+
+                # The promoted standby bootstrapped from the Commit Set.
+                tx = await client.start_transaction()
+                assert await client.get(tx, "before") == b"promotion"
+                await client.commit_transaction(tx)
+
+        asyncio.run(scenario())
+
+
+class TestNodeBackgroundLoops:
+    def test_heartbeats_survive_one_failed_notify(self):
+        async def scenario():
+            async with SocketCluster(
+                n_nodes=1, lease_duration=0.6, heartbeat_interval=0.1
+            ) as cluster:
+                server = cluster.nodes[0]
+                real_notify = server.conn.notify
+                failed_at: list[float] = []
+
+                async def flaky_notify(message):
+                    if isinstance(message, m.Heartbeat) and not failed_at:
+                        failed_at.append(time.monotonic())
+                        raise RuntimeError("transient send failure")
+                    return await real_notify(message)
+
+                server.conn.notify = flaky_notify
+                session = cluster.router._sessions["n0"]
+                deadline = time.monotonic() + 2.0
+                while not failed_at or session.last_heartbeat <= failed_at[0]:
+                    assert time.monotonic() < deadline, "no heartbeat after the failure"
+                    await asyncio.sleep(0.02)
+                # Well past one lease: the node was never fenced.
+                await asyncio.sleep(0.8)
+                info = await cluster.client.info()
+                assert info.nodes == ["n0"] and not session.declared_failed
+
+        asyncio.run(scenario())
+
+    def test_publishing_survives_one_failed_publish(self, monkeypatch):
+        real_publish = NodeServer._publish_now
+        calls = 0
+
+        async def flaky_publish(server):
+            nonlocal calls
+            calls += 1
+            if calls == 1:
+                raise RuntimeError("transient publish failure")
+            await real_publish(server)
+
+        monkeypatch.setattr(NodeServer, "_publish_now", flaky_publish)
+
+        async def scenario():
+            async with SocketCluster(n_nodes=1):
+                deadline = time.monotonic() + 2.0
+                while calls < 3:
+                    assert time.monotonic() < deadline, "publish loop stopped"
+                    await asyncio.sleep(0.02)
+
+        asyncio.run(scenario())
+
+
+def _slow_storage(seconds: float) -> LatencyInjectedStorage:
+    return LatencyInjectedStorage(InMemoryStorage(), injected=ConstantLatency(seconds))
+
+
+class TestRouterStorageService:
+    def test_slow_storage_frame_does_not_stall_the_router_loop(self):
+        async def scenario():
+            router = RouterServer(port=0, storage=_slow_storage(0.3))
+            await router.start()
+            conn = await connect("127.0.0.1", router.port, name="raw-storage")
+            client = await AsyncRouterClient.connect("127.0.0.1", router.port)
+            try:
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                pending = loop.create_task(
+                    conn.request(m.StorageRequest(op="get", keys=["k"]), timeout=5.0)
+                )
+                await asyncio.sleep(0.05)
+                assert loop.time() - started < 0.15
+                assert not pending.done()
+                before_info = loop.time()
+                await client.info()
+                assert loop.time() - before_info < 0.15
+                assert not pending.done()
+                reply = await pending
+                assert reply.values == {"k": None}
+            finally:
+                await client.close()
+                await conn.close()
+                await router.stop()
+
+        asyncio.run(scenario())
+
+    def test_concurrent_sessions_overlap_their_storage_io(self):
+        keys = [f"hot:{i}" for i in range(64)]
+
+        async def run_point(client: AsyncRouterClient, sessions: int, seconds: float) -> float:
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + seconds
+            committed = 0
+
+            async def session(worker: int) -> None:
+                nonlocal committed
+                turn = 0
+                while loop.time() < deadline:
+                    a = keys[(worker * 7 + turn) % len(keys)]
+                    b = keys[(worker * 13 + turn + 1) % len(keys)]
+                    tx = await client.start_transaction()
+                    await client.get_many(tx, [a, b])
+                    await client.put(tx, a, b"v")
+                    await client.commit_transaction(tx)
+                    committed += 1
+                    turn += 1
+
+            started = loop.time()
+            await asyncio.gather(*(session(w) for w in range(sessions)))
+            return committed / (loop.time() - started)
+
+        async def scenario():
+            async with SocketCluster(n_nodes=2, storage=_slow_storage(0.005)) as cluster:
+                client = cluster.client
+                tx = await client.start_transaction()
+                await client.put_many(tx, {key: b"seed" for key in keys})
+                await client.commit_transaction(tx)
+                return await run_point(client, 1, 1.0), await run_point(client, 32, 1.0)
+
+        one, many = asyncio.run(scenario())
+        assert many >= 3 * one, (one, many)
 
 
 class TestWireNegotiation:

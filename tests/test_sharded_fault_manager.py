@@ -347,22 +347,22 @@ class TestParallelRecovery:
         reader = b.start_transaction()
         assert b.get(reader, "durable") == b"must-not-be-lost"
 
-    def test_sequential_recovery_matches_parallel(self, storage, commit_store, clock):
+    def test_one_recovery_over_four_shards(self, storage, commit_store, clock):
         records = [make_record(i, node_id="crashed") for i in range(30)]
         for record in records:
             commit_store.write_record(record)
         crashed = AftNode(storage, commit_store=commit_store, clock=clock, node_id="crashed")
-        outcomes = []
-        for parallel in (True, False):
-            manager = FaultManager(
-                storage,
-                commit_store,
-                MulticastService(),
-                config=FaultManagerConfig(num_shards=4, parallel_recovery=parallel),
-            )
-            report = manager.recover_node_failure(crashed)
-            outcomes.append(sorted(record.txid for record in report.recovered))
-        assert outcomes[0] == outcomes[1] == sorted(record.txid for record in records)
+        manager = FaultManager(
+            storage,
+            commit_store,
+            MulticastService(),
+            config=FaultManagerConfig(num_shards=4),
+        )
+        report = manager.recover_node_failure(crashed)
+        assert sorted(record.txid for record in report.recovered) == sorted(
+            record.txid for record in records
+        )
+        assert len(report.per_shard_recovered) == 4
 
     def test_cluster_failover_promotes_standby(self, clock):
         cluster = AftCluster(
