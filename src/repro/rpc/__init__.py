@@ -6,14 +6,14 @@ into messages on sockets:
 * :mod:`repro.rpc.framing` — length-prefixed frames in one hybrid layout (a
   compact JSON header followed by the raw bulk bytes it references) and the
   bidirectional multiplexed :class:`~repro.rpc.framing.RpcConnection` with
-  writer coalescing and per-connection wire counters.
+  per-connection wire counters.
 * :mod:`repro.rpc.messages` — dataclass wire schemas with an
   unknown-field-tolerant codec (unknown fields are dropped, missing ones
   take their defaults).
 * :mod:`repro.rpc.storage_client` — :class:`~repro.rpc.storage_client.RemoteStorage`,
   a :class:`~repro.storage.base.StorageEngine` whose op coroutines await
-  the router's shared storage service over the socket, coalescing
-  concurrent ops into shared ``storage_batch`` frames.
+  the router's shared storage service over the socket, every op inside a
+  ``storage_batch`` frame that concurrent ops share.
 * :mod:`repro.rpc.router` — the ``repro-router`` process: shared storage,
   lease membership with epoch fencing, the commit-stream hub, and client
   session routing.

@@ -6,7 +6,7 @@ Every frame is a 4-byte big-endian length followed by one frame body:
 
 The header is the JSON envelope object —
 
-  ``{"id": 7, "re": null, "type": "storage", "body": {...}}``
+  ``{"id": 7, "re": null, "type": "storage_batch", "body": {...}}``
 
 — with every bulk field of the body (storage values, commit records)
 replaced by compact ``[offset, length]`` references into the raw payload
@@ -31,11 +31,10 @@ requesting side (:func:`repro.rpc.messages.error_from_wire`).
 single reader task resolves reply futures and dispatches incoming requests
 to the connection's handler, each in its own task — so both peers can issue
 concurrent requests over the same socket without head-of-line blocking on
-the handlers.  Writes go through a coalescing send queue: frames queued
-while a drain is in flight ride out in one ``write``/``drain`` pair
-(:attr:`ConnectionStats.drains` counts how often that batching pays off),
-and every socket runs with ``TCP_NODELAY`` so small frames are not parked
-by Nagle's algorithm.
+the handlers.  A send is one ``write`` and one ``drain``; concurrent
+senders each await their own ``drain`` (asyncio allows several waiters on
+one writer), and every socket runs with ``TCP_NODELAY`` so small frames are
+not parked by Nagle's algorithm.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import itertools
 import json
 import socket
 import struct
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
@@ -168,8 +166,7 @@ class ConnectionStats:
     #: Storage ops carried inside ``storage_batch`` frames, each way.
     batched_ops_sent: int = 0
     batched_ops_received: int = 0
-    #: ``drain()`` calls on the writer; ``frames_sent / drains`` is the
-    #: writer-coalescing factor (frames that shared one flush).
+    #: ``drain()`` calls on the writer: one per frame sent.
     drains: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -211,12 +208,6 @@ class RpcConnection:
         #: deregister the session).
         self.on_close: Callable[["RpcConnection"], None] | None = None
         self.stats = ConnectionStats()
-        #: Writer-coalescing queue: frames append here, and whichever task
-        #: finds no flush in progress drains the whole queue with a single
-        #: ``write`` + ``drain`` pair — frames arriving while a drain is
-        #: awaited ride out together on the next pass.
-        self._send_queue: deque[bytes] = deque()
-        self._flushing = False
         self._enable_nodelay()
 
     def _enable_nodelay(self) -> None:
@@ -253,27 +244,9 @@ class RpcConnection:
         data = frame_bytes(envelope)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += len(data)
-        self._send_queue.append(data)
-        await self._flush_sends()
-
-    async def _flush_sends(self) -> None:
-        if self._flushing:
-            # Another task is mid-drain; it re-checks the queue after its
-            # drain resumes, so the frame just queued rides its next pass.
-            return
-        self._flushing = True
-        try:
-            while self._send_queue and not self._closed:
-                if len(self._send_queue) == 1:
-                    data = self._send_queue.popleft()
-                else:
-                    data = b"".join(self._send_queue)
-                    self._send_queue.clear()
-                self._writer.write(data)
-                self.stats.drains += 1
-                await self._writer.drain()
-        finally:
-            self._flushing = False
+        self._writer.write(data)
+        self.stats.drains += 1
+        await self._writer.drain()
 
     async def request(self, message: WireMessage, timeout: float | None = 30.0) -> WireMessage:
         """Send ``message`` and await the peer's (decoded) reply.
@@ -379,7 +352,6 @@ class RpcConnection:
         if self._closed:
             return
         self._closed = True
-        self._send_queue.clear()
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(error or ConnectionClosedError("connection lost"))

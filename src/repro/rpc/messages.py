@@ -17,6 +17,11 @@ the frame's raw payload section (:mod:`repro.rpc.framing`):
 :func:`split_bulk` replaces them in the JSON header with compact
 ``[offset, length]`` references, and :func:`join_bulk` slices them back out
 of the frame buffer.
+
+The protocol has one message per job.  A node's storage ops all ride
+:class:`StorageBatch` frames, and a client's session messages
+(``client_*``) are what the router relays to the pinned node and what the
+node answers, so no request or reply is rebuilt on the way.
 """
 
 from __future__ import annotations
@@ -143,39 +148,11 @@ class DeliverCommits(WireMessage):
 # Storage service (node -> router)
 # --------------------------------------------------------------------- #
 @dataclass
-class StorageRequest(WireMessage):
-    """One storage-engine operation against the router's shared store.
-
-    ``op`` is one of ``get`` / ``put`` / ``delete`` / ``multi_get`` /
-    ``multi_put`` / ``multi_delete`` / ``list_keys``.  ``keys`` carries the
-    read/delete targets, ``items`` the writes (raw bytes), ``prefix``
-    the listing prefix.
-    """
-
-    TYPE: ClassVar[str] = "storage"
-    BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ("items",)
-    op: str = "get"
-    keys: list = field(default_factory=list)
-    items: dict = field(default_factory=dict)
-    prefix: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
-    #: means untraced.
-    trace: str = ""
-
-
-@dataclass
-class StorageResponse(WireMessage):
-    """Result of a :class:`StorageRequest` (raw values, misses None)."""
-
-    TYPE: ClassVar[str] = "storage_result"
-    BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ("values",)
-    values: dict = field(default_factory=dict)
-    keys: list = field(default_factory=list)
-
-
-@dataclass
 class StorageBatch(WireMessage):
-    """A whole group of storage ops in one frame (one round trip).
+    """A group of storage ops in one frame (one round trip).
+
+    The only storage frame: a node's every storage op, a single ``get``
+    included, travels as one op of a batch.
 
     ``ops`` is a list of compact descriptors ``{"op", "keys", "prefix",
     "v"}`` where ``v`` holds per-key indexes into the shared ``blobs``
@@ -199,7 +176,7 @@ class StorageBatchResult(WireMessage):
 
     Each entry of ``results`` mirrors its request op: ``{"keys", "v"}`` for
     value-returning ops (``v`` indexes into ``blobs``, ``None`` marks a
-    miss), ``{"listing"}`` for ``list_keys``, ``{"error"}`` for an op that
+    miss), ``{"listing"}`` for ``list``, ``{"error"}`` for an op that
     failed — errors are *per op*, so one fenced commit-record write in a
     coalesced batch fails only its own waiter.
     """
@@ -211,11 +188,12 @@ class StorageBatchResult(WireMessage):
 
 
 # --------------------------------------------------------------------- #
-# Client sessions (client <-> router) and their node-side forwards
+# Client sessions (client -> router -> pinned node, relayed as they are)
 # --------------------------------------------------------------------- #
 @dataclass
 class ClientStart(WireMessage):
-    """Client -> router: open a transaction (router pins it to a node)."""
+    """Open a transaction.  The router pins it to a node and relays this
+    message there; the node's :class:`ClientStarted` comes back unchanged."""
 
     TYPE: ClassVar[str] = "client_start"
     txid: str = ""
@@ -288,56 +266,6 @@ class ClientAbort(WireMessage):
     trace: str = ""
 
 
-@dataclass
-class TxnStart(WireMessage):
-    """Router -> node forwards of the client session ops (same shapes)."""
-
-    TYPE: ClassVar[str] = "txn_start"
-    txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
-    #: means untraced.
-    trace: str = ""
-
-
-@dataclass
-class TxnGet(WireMessage):
-    TYPE: ClassVar[str] = "txn_get"
-    txid: str = ""
-    keys: list = field(default_factory=list)
-    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
-    #: means untraced.
-    trace: str = ""
-
-
-@dataclass
-class TxnPut(WireMessage):
-    TYPE: ClassVar[str] = "txn_put"
-    BYTES_MAP_FIELDS: ClassVar[tuple[str, ...]] = ("items",)
-    txid: str = ""
-    items: dict = field(default_factory=dict)
-    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
-    #: means untraced.
-    trace: str = ""
-
-
-@dataclass
-class TxnCommit(WireMessage):
-    TYPE: ClassVar[str] = "txn_commit"
-    txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
-    #: means untraced.
-    trace: str = ""
-
-
-@dataclass
-class TxnAbort(WireMessage):
-    TYPE: ClassVar[str] = "txn_abort"
-    txid: str = ""
-    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
-    #: means untraced.
-    trace: str = ""
-
-
 # --------------------------------------------------------------------- #
 # Introspection and fault injection
 # --------------------------------------------------------------------- #
@@ -402,8 +330,6 @@ MESSAGE_TYPES: dict[str, type[WireMessage]] = {
         Ok,
         PublishCommits,
         DeliverCommits,
-        StorageRequest,
-        StorageResponse,
         StorageBatch,
         StorageBatchResult,
         ClientStart,
@@ -414,11 +340,6 @@ MESSAGE_TYPES: dict[str, type[WireMessage]] = {
         ClientCommit,
         ClientCommitted,
         ClientAbort,
-        TxnStart,
-        TxnGet,
-        TxnPut,
-        TxnCommit,
-        TxnAbort,
         Info,
         InfoReply,
         Nemesis,

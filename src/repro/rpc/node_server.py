@@ -11,7 +11,8 @@ multiplexed:
   ``hello_ack`` dictates),
 * **the commit stream** (drained recent commits published up; peer commits
   delivered down and merged into the metadata cache),
-* **forwarded client sessions** (``txn_*`` requests the router pins here),
+* **relayed client sessions** (the clients' own ``client_*`` messages for
+  the transactions the router pins here, answered in kind),
 * **fault injection** (``nemesis`` pauses heartbeats while leaving the
   data path untouched — the asymmetric-partition / GC-pause scenario that
   makes lease membership produce false positives).
@@ -32,7 +33,7 @@ import sys
 from typing import Awaitable, Callable
 
 from repro.config import AftConfig
-from repro.core.commit_set import CommitSetStore
+from repro.core.commit_set import CommitRecord, CommitSetStore
 from repro.core.metadata_plane.fencing import FenceToken
 from repro.core.node import AftNode
 from repro.errors import AftError
@@ -59,7 +60,6 @@ class NodeServer:
         router_port: int = 7400,
         kind: str = "node",
         config: AftConfig | None = None,
-        enable_storage_batching: bool = True,
         coalesce_window: float = 0.0,
     ) -> None:
         if kind not in ("node", "standby"):
@@ -69,7 +69,6 @@ class NodeServer:
         self.router_port = router_port
         self.kind = kind
         self.config = config if config is not None else AftConfig()
-        self.enable_storage_batching = enable_storage_batching
         self.coalesce_window = coalesce_window
 
         tr.apply_config(self.config.observability)
@@ -85,6 +84,8 @@ class NodeServer:
         self._serving = asyncio.Event()
         self._closed = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
+        #: Drained commit records no ``PublishCommits`` has been acked for.
+        self._unpublished: list[CommitRecord] = []
 
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
@@ -103,17 +104,15 @@ class NodeServer:
             raise AftError(f"unexpected registration reply {type(ack).__name__}")
         self.heartbeat_interval = ack.heartbeat_interval
 
-        storage = RemoteStorage(
+        self.storage = RemoteStorage(
             self.conn,
             loop=loop,
             request_timeout=self.config.storage_request_timeout,
             coalesce_window=self.coalesce_window,
         )
-        storage.supports_storage_batches = self.enable_storage_batching
-        self.storage = storage
         self.node = AftNode(
-            storage=storage,
-            commit_store=CommitSetStore(storage),
+            storage=self.storage,
+            commit_store=CommitSetStore(self.storage),
             config=self.config,
             node_id=self.node_id,
         )
@@ -186,8 +185,17 @@ class NodeServer:
             await self.conn.notify(m.Heartbeat(node_id=self.node_id))
 
     async def _publish_now(self) -> None:
-        records = self.node.drain_recent_commits()
-        if records:
+        """Publish the unacked commits: a failed request keeps them queued.
+
+        The buffer is cleared before the await, so a concurrent eager and
+        periodic publish never send the same records twice; on failure the
+        records go back in front of whatever queued meanwhile.
+        """
+        records = self._unpublished + self.node.drain_recent_commits()
+        if not records:
+            return
+        self._unpublished = []
+        try:
             # A request, not a notification: the router replies only after it
             # has written the deliver frames to every peer, so once the commit
             # ack (which follows this) reaches the client, any later request
@@ -201,29 +209,32 @@ class NodeServer:
                     trace=tr.wire_context(),
                 )
             )
+        except BaseException:
+            self._unpublished = records + self._unpublished
+            raise
 
     # ------------------------------------------------------------------ #
     # Request handling (router -> node)
     # ------------------------------------------------------------------ #
     async def _handle(self, conn: RpcConnection, msg: m.WireMessage) -> m.WireMessage | None:
         node = self.node
-        if isinstance(msg, m.TxnStart):
+        if isinstance(msg, m.ClientStart):
             with tr.span("node.start", parent=msg.trace) as span:
                 txid = node.start_transaction(msg.txid or None)
                 span.bind_txn(txid)
             self.metrics.counter("txns_started").inc()
             return m.ClientStarted(txid=txid, node_id=self.node_id)
-        if isinstance(msg, m.TxnGet):
+        if isinstance(msg, m.ClientGet):
             with tr.span("node.get", txid=msg.txid, parent=msg.trace, n_keys=len(msg.keys)):
                 values = await node.get_many_async(msg.txid, list(msg.keys))
             return m.ClientValues(values=dict(values))
-        if isinstance(msg, m.TxnPut):
+        if isinstance(msg, m.ClientPut):
             # Un-spanned on purpose: a put is a write-buffer append (see the
             # client-side note); commit spans carry its persistence.
             for key, value in msg.items.items():
                 await node.put_async(msg.txid, key, value)
             return m.Ok()
-        if isinstance(msg, m.TxnCommit):
+        if isinstance(msg, m.ClientCommit):
             with tr.span("node.commit", txid=msg.txid, parent=msg.trace):
                 commit_id = await node.commit_transaction_async(msg.txid)
                 # Publish eagerly: the commit ack and the peer broadcast leave
@@ -232,11 +243,14 @@ class NodeServer:
                 try:
                     await self._publish_now()
                 except Exception:
-                    pass
+                    # The records stay queued for the periodic publish.
+                    logger.warning(
+                        "node %s: eager commit publish failed", self.node_id, exc_info=True
+                    )
             self.metrics.counter("txns_committed").inc()
             tr.end_txn(msg.txid)
             return m.ClientCommitted(txid=msg.txid, commit_token=commit_id.to_token())
-        if isinstance(msg, m.TxnAbort):
+        if isinstance(msg, m.ClientAbort):
             with tr.span("node.abort", txid=msg.txid, parent=msg.trace):
                 node.abort_transaction(msg.txid)
             self.metrics.counter("txns_aborted").inc()
@@ -277,11 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="per-request storage round-trip timeout in seconds "
         "(0 waits forever; default: AftConfig.storage_request_timeout)",
-    )
-    parser.add_argument(
-        "--no-storage-batching",
-        action="store_true",
-        help="issue one storage frame per op instead of storage_batch frames",
     )
     parser.add_argument(
         "--coalesce-window",
@@ -326,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
             router_port=args.router_port,
             kind=args.kind,
             config=config,
-            enable_storage_batching=not args.no_storage_batching,
             coalesce_window=args.coalesce_window,
         )
         await server.start()

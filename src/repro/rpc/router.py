@@ -4,7 +4,7 @@ The router plays the roles that live *outside* the shim nodes in the
 paper's deployment (Section 4):
 
 * **Shared storage.**  An in-process engine (``InMemoryStorage`` by
-  default) serves every node's :class:`~repro.rpc.messages.StorageRequest`.
+  default) serves every node's :class:`~repro.rpc.messages.StorageBatch`.
   This is the stand-in for cloud storage — and therefore the one authority
   a late writer cannot bypass, so **epoch fencing is enforced here**: every
   put whose key is a commit-record key has its record parsed and its
@@ -22,8 +22,9 @@ paper's deployment (Section 4):
   ``deliver_commits`` to every other serving node — the
   :class:`CommitStream` strategy's role, with the router as the relay.
 * **Client session routing.**  Clients open transactions against the
-  router; each is pinned round-robin to a serving node and its Table-1 ops
-  are forwarded over that node's existing connection.
+  router; each is pinned round-robin to a serving node, and the client's own
+  Table-1 messages are relayed over that node's existing connection.  The
+  node answers in the client protocol, so its reply goes back unchanged.
 
 Run it: ``repro-router --port 7400`` (``--port 0`` picks a free port and
 prints it on the ``REPRO_ROUTER_READY`` line that process harnesses wait
@@ -221,8 +222,6 @@ class RouterServer:
     # Request dispatch
     # ------------------------------------------------------------------ #
     async def _handle(self, conn: RpcConnection, msg: m.WireMessage) -> m.WireMessage | None:
-        if isinstance(msg, m.StorageRequest):
-            return await self._handle_storage(msg)
         if isinstance(msg, m.StorageBatch):
             return await self._handle_storage_batch(conn, msg)
         if isinstance(msg, m.Heartbeat):
@@ -239,37 +238,27 @@ class RouterServer:
             return await self._handle_client_start(msg)
         if isinstance(msg, m.ClientGet):
             with tr.span("router.get", txid=msg.txid, parent=msg.trace):
-                reply = await self._forward(
-                    msg.txid, m.TxnGet(txid=msg.txid, keys=msg.keys, trace=tr.wire_context())
-                )
-            return m.ClientValues(values=getattr(reply, "values", {}))
+                return await self._forward(msg)
         if isinstance(msg, m.ClientPut):
             # Un-spanned on purpose: puts are write-buffer appends (see the
             # client-side note); the commit spans carry their persistence.
-            await self._forward(msg.txid, m.TxnPut(txid=msg.txid, items=msg.items))
-            return m.Ok()
+            return await self._forward(msg)
         if isinstance(msg, m.ClientCommit):
             try:
                 with tr.span("router.commit", txid=msg.txid, parent=msg.trace):
-                    reply = await self._forward(
-                        msg.txid, m.TxnCommit(txid=msg.txid, trace=tr.wire_context())
-                    )
+                    reply = await self._forward(msg)
                 self.metrics.counter("txns_committed").inc()
             finally:
                 self._routes.pop(msg.txid, None)
-            return m.ClientCommitted(
-                txid=msg.txid, commit_token=getattr(reply, "commit_token", "")
-            )
+            return reply
         if isinstance(msg, m.ClientAbort):
             try:
                 with tr.span("router.abort", txid=msg.txid, parent=msg.trace):
-                    await self._forward(
-                        msg.txid, m.TxnAbort(txid=msg.txid, trace=tr.wire_context())
-                    )
+                    reply = await self._forward(msg)
                 self.metrics.counter("txns_aborted").inc()
             finally:
                 self._routes.pop(msg.txid, None)
-            return m.Ok()
+            return reply
         if isinstance(msg, m.Info):
             return m.InfoReply(
                 nodes=sorted(s.node_id for s in self._sessions.values() if s.active),
@@ -349,28 +338,29 @@ class RouterServer:
         except Exception:
             pass
 
-    async def _handle_client_start(self, msg: m.ClientStart) -> m.ClientStarted:
+    async def _handle_client_start(self, msg: m.ClientStart) -> m.WireMessage:
         serving = [s for s in self._sessions.values() if s.active]
         if not serving:
             raise NoAvailableNodeError("no serving node connected to the router")
         session = serving[self._round_robin % len(serving)]
         self._round_robin += 1
         with tr.span("router.start", parent=msg.trace, node=session.node_id) as span:
-            reply = await session.conn.request(
-                m.TxnStart(txid=msg.txid, trace=tr.wire_context()), timeout=10.0
-            )
-            txid = getattr(reply, "txid", msg.txid)
-            span.bind_txn(txid)
-        self._routes[txid] = session
+            msg.trace = tr.wire_context()
+            reply = await session.conn.request(msg, timeout=10.0)
+            span.bind_txn(reply.txid)
+        self._routes[reply.txid] = session
         self.metrics.counter("txns_started").inc()
-        return m.ClientStarted(txid=txid, node_id=session.node_id)
+        return reply
 
-    async def _forward(self, txid: str, msg: m.WireMessage) -> m.WireMessage:
-        session = self._routes.get(txid)
+    async def _forward(self, msg: m.WireMessage) -> m.WireMessage:
+        """Relay a client's session message to the node its txid is pinned
+        to; the node's reply is the client's reply."""
+        session = self._routes.get(msg.txid)
         if session is None:
             raise UnknownTransactionError(
-                f"transaction {txid!r} is not routed through this router", txid=txid
+                f"transaction {msg.txid!r} is not routed through this router", txid=msg.txid
             )
+        msg.trace = tr.wire_context()
         return await session.conn.request(msg, timeout=30.0)
 
     # ------------------------------------------------------------------ #
@@ -388,52 +378,49 @@ class RouterServer:
         record = CommitRecord.from_bytes(value)
         self.fence.check(record.node_id, record.epoch)
 
-    async def _apply_op(self, op: StorageOp) -> StorageOpResult:
-        """Apply one storage op to the engine (fence checks included).
+    async def _handle_storage(self, op: StorageOp) -> StorageOpResult:
+        """Apply one storage op to the engine, fence check included.
 
-        The single authority for both wire shapes: ``storage`` frames and
-        each op of a ``storage_batch`` frame land here, so the fencing gate
-        cannot be bypassed by taking the batched path.  The fence check and
-        the write it guards share this coroutine on the loop that also runs
-        ``fence.grant`` / ``revoke``: over a metered engine ``put_async``
-        never suspends, so check-then-write is one uninterrupted step.
+        The one per-op apply: every op of every ``storage_batch`` frame lands
+        here, so no path bypasses the fencing gate.  A failed op comes back as
+        its result's ``error``, failing only its own waiter.  The fence check
+        and the write it guards share this coroutine on the loop that also
+        runs ``fence.grant`` / ``revoke``: over a metered engine
+        ``put_async`` never suspends, so check-then-write is one
+        uninterrupted step.
         """
         storage = self.storage
-        if op.op == "get":
-            key = op.keys[0]
-            return StorageOpResult(values={key: await storage.get_async(key)})
-        if op.op == "multi_get":
-            return StorageOpResult(values=await storage.multi_get_async(list(op.keys)))
-        if op.op in ("put", "multi_put"):
-            items = dict(op.items or {})
-            # Validate the whole request before writing any of it: a batch
-            # with one fenced record writes nothing (the group-commit flush
-            # relies on this all-or-nothing shape).
-            for key, value in items.items():
-                self._check_put_fence(key, value)
-            if op.op == "put":
+        try:
+            if op.op == "get":
+                key = op.keys[0]
+                return StorageOpResult(values={key: await storage.get_async(key)})
+            if op.op == "multi_get":
+                return StorageOpResult(values=await storage.multi_get_async(list(op.keys)))
+            if op.op in ("put", "multi_put"):
+                items = dict(op.items or {})
+                # Validate the whole op before writing any of it: an op with
+                # one fenced record writes nothing (the group-commit flush
+                # relies on this all-or-nothing shape).
                 for key, value in items.items():
-                    await storage.put_async(key, value)
-            else:
-                await storage.multi_put_async(items)
-            return StorageOpResult()
-        if op.op == "delete":
-            for key in op.keys:
-                await storage.delete_async(key)
-            return StorageOpResult()
-        if op.op == "multi_delete":
-            await storage.multi_delete_async(list(op.keys))
-            return StorageOpResult()
-        if op.op in ("list", "list_keys"):
-            return StorageOpResult(keys=await storage.list_keys_async(prefix=op.prefix))
-        raise AftError(f"unknown storage op {op.op!r}")
-
-    async def _handle_storage(self, msg: m.StorageRequest) -> m.StorageResponse:
-        self.metrics.counter("storage_ops").inc()
-        op = StorageOp(op=msg.op, keys=tuple(msg.keys), items=msg.items or None, prefix=msg.prefix)
-        with tr.span("router.storage", parent=msg.trace, op=msg.op):
-            result = await self._apply_op(op)
-        return m.StorageResponse(values=result.values or {}, keys=result.keys or [])
+                    self._check_put_fence(key, value)
+                if op.op == "put":
+                    for key, value in items.items():
+                        await storage.put_async(key, value)
+                else:
+                    await storage.multi_put_async(items)
+                return StorageOpResult()
+            if op.op == "delete":
+                for key in op.keys:
+                    await storage.delete_async(key)
+                return StorageOpResult()
+            if op.op == "multi_delete":
+                await storage.multi_delete_async(list(op.keys))
+                return StorageOpResult()
+            if op.op == "list":
+                return StorageOpResult(keys=await storage.list_keys_async(prefix=op.prefix))
+            raise AftError(f"unknown storage op {op.op!r}")
+        except Exception as exc:
+            return StorageOpResult(error=exc)
 
     async def _handle_storage_batch(
         self, conn: RpcConnection, msg: m.StorageBatch
@@ -449,15 +436,10 @@ class RouterServer:
         conn.stats.batched_ops_received += len(ops)
         self.metrics.counter("storage_ops").inc(len(ops))
         self.metrics.counter("storage_batches").inc()
-
-        async def apply_checked(op: StorageOp) -> StorageOpResult:
-            try:
-                return await self._apply_op(op)
-            except Exception as exc:
-                return StorageOpResult(error=exc)
-
         with tr.span("router.storage_batch", parent=msg.trace, n_ops=len(ops)):
-            results = await self.storage.fan_out([functools.partial(apply_checked, op) for op in ops])
+            results = await self.storage.fan_out(
+                [functools.partial(self._handle_storage, op) for op in ops]
+            )
             return m.encode_storage_results(results)
 
 

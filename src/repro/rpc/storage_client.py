@@ -3,24 +3,21 @@
 :class:`RemoteStorage` is the node process's view of cloud storage.  Each
 op of the :class:`~repro.storage.base.StorageEngine` contract is one
 coroutine that awaits its socket round trip, and the engine declares
-``wall_clock_io``, so ``execute_plan_async`` gathers a plan stage's request
-groups as plain coroutines on the node's event loop.
+``wall_clock_io``, so sync callers are driven on the connection's loop.
 
-On top of that sits the wire hot-path optimisation: when the node enables
-storage batching (the default; ``repro-node --no-storage-batching`` turns it
-off), ``supports_storage_batches`` is on and every operation routes through
-a cross-transaction :class:`_OpCoalescer`.  Ops submitted within one
-event-loop tick (or a configurable window) are packed into a single
-``storage_batch`` frame — an IO-plan stage's whole request group crosses
-the wire as one round trip, and independent single ops from *concurrent*
-transactions opportunistically share frames.  Per-op errors come back as
-data, so a fenced commit-record write fails exactly its own waiter.
+Every op travels as one op of a ``storage_batch`` frame.  Ops go through a
+cross-transaction :class:`_OpCoalescer`: the ops submitted within one
+event-loop tick (or a configurable window) share a frame, so an IO-plan
+stage's whole request group crosses the wire as one round trip
+(``supports_storage_batches``) and independent single ops from *concurrent*
+transactions share frames when they happen to meet.  Per-op errors come
+back as data, so a fenced commit-record write fails exactly its own waiter.
 
 Accounting rule: the layer that returns to the caller does the stats and
 latency accounting — the single-op coroutines account for themselves, the
 batched ``execute_group_async`` accounts per op for the plan path, and the
-submission machinery (`_submit`, the coalescer) never accounts.  Nothing is
-double-counted whichever path an op takes.
+coalescer never accounts.  Nothing is double-counted whichever path an op
+takes.
 
 Code on the connection's loop (the node server, ``AftNode.bootstrap_async``)
 awaits the ``*_async`` coroutines.  The base class's sync names (``get``,
@@ -39,13 +36,14 @@ from repro.errors import StorageError
 from repro.observability import trace as tr
 from repro.rpc import messages as m
 from repro.rpc.framing import RpcConnection
-from repro.rpc.messages import StorageRequest, StorageResponse
 from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
 
-#: Default socket round-trip budget per storage op (generous: a stalled
+#: Default socket round-trip budget per storage batch (generous: a stalled
 #: router should surface as an error, not a hung node).  Configurable per
 #: deployment via ``AftConfig.storage_request_timeout``.
 DEFAULT_REQUEST_TIMEOUT = 30.0
+#: Ops per frame at which the coalescer flushes without waiting for the tick.
+COALESCE_MAX_OPS = 128
 
 
 class _OpCoalescer:
@@ -60,11 +58,10 @@ class _OpCoalescer:
     frames via ``call_later``.
     """
 
-    def __init__(self, conn: RpcConnection, owner: "RemoteStorage", window: float, max_ops: int) -> None:
+    def __init__(self, conn: RpcConnection, owner: "RemoteStorage", window: float) -> None:
         self._conn = conn
         self._owner = owner
         self._window = window
-        self._max_ops = max(1, max_ops)
         self._pending_ops: list[StorageOp] = []
         self._pending_futures: list[asyncio.Future] = []
         self._flush_handle: asyncio.TimerHandle | None = None
@@ -75,7 +72,7 @@ class _OpCoalescer:
         future: asyncio.Future = loop.create_future()
         self._pending_ops.append(op)
         self._pending_futures.append(future)
-        if len(self._pending_ops) >= self._max_ops:
+        if len(self._pending_ops) >= COALESCE_MAX_OPS:
             self._flush(loop)
         elif self._flush_handle is None:
             if self._window > 0:
@@ -131,6 +128,7 @@ class RemoteStorage(StorageEngine):
     wall_clock_io = True
     supports_batch_writes = True
     supports_batch_reads = True
+    supports_storage_batches = True
 
     def __init__(
         self,
@@ -138,60 +136,21 @@ class RemoteStorage(StorageEngine):
         loop: asyncio.AbstractEventLoop,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
         coalesce_window: float = 0.0,
-        coalesce_max_ops: int = 128,
     ) -> None:
         super().__init__()
-        self._conn = conn
         #: The loop ``conn`` lives on; sync callers are driven there.
         self.loop = loop
-        #: Socket round-trip budget per storage op / batch.
+        #: Socket round-trip budget per storage batch.
         self.request_timeout: float | None = request_timeout
-        self._coalescer = _OpCoalescer(conn, self, coalesce_window, coalesce_max_ops)
-        #: Set by the node entrypoint from ``NodeServer.enable_storage_batching``
-        #: (the router serves both ``storage`` and ``storage_batch`` frames).
-        self.supports_storage_batches = False
+        self._coalescer = _OpCoalescer(conn, self, coalesce_window)
 
-    # ------------------------------------------------------------------ #
-    async def _call(self, request: StorageRequest) -> StorageResponse:
-        with tr.span("storage.rpc", op=request.op):
-            request.trace = tr.wire_context()
-            reply = await self._conn.request(request, timeout=self.request_timeout)
-        if not isinstance(reply, StorageResponse):
-            raise StorageError(f"unexpected storage reply {type(reply).__name__}")
-        return reply
-
-    async def _submit(self, op: StorageOp) -> StorageOpResult:
-        """Route one op to the wire (coalesced or standalone).  No accounting."""
-        if self.supports_storage_batches:
-            return await self._coalescer.submit(op)
-        return await self._request_single(op)
-
-    async def _request_single(self, op: StorageOp) -> StorageOpResult:
-        """Ship one op as its own ``storage`` frame (the PR 7 wire shape)."""
-        try:
-            if op.op == "get":
-                reply = await self._call(StorageRequest(op="get", keys=list(op.keys)))
-                return StorageOpResult(values={op.keys[0]: reply.values.get(op.keys[0])})
-            if op.op == "multi_get":
-                reply = await self._call(StorageRequest(op="multi_get", keys=list(op.keys)))
-                return StorageOpResult(values={key: reply.values.get(key) for key in op.keys})
-            if op.op == "put":
-                await self._call(StorageRequest(op="put", items=dict(op.items or {})))
-                return StorageOpResult()
-            if op.op == "multi_put":
-                await self._call(StorageRequest(op="multi_put", items=dict(op.items or {})))
-                return StorageOpResult()
-            if op.op == "multi_delete":
-                await self._call(StorageRequest(op="multi_delete", keys=list(op.keys)))
-                return StorageOpResult()
-            if op.op == "list":
-                reply = await self._call(StorageRequest(op="list_keys", prefix=op.prefix))
-                return StorageOpResult(keys=list(reply.keys))
-            raise StorageError(f"unknown storage op {op.op!r}")
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            return StorageOpResult(error=exc)
+    async def _apply(self, op: StorageOp) -> StorageOpResult:
+        """Ship one op, raise its error or account for it."""
+        result = await self._coalescer.submit(op)
+        if result.error is not None:
+            raise result.error
+        self._account_op(op, result)
+        return result
 
     # ------------------------------------------------------------------ #
     # Accounting (stats + metered latency), one call per completed op
@@ -228,6 +187,11 @@ class RemoteStorage(StorageEngine):
                 self.stats.items_written += len(items)
                 self.stats.bytes_written += total
             self._charge("batch_write", n_items=max(1, len(items)), total_bytes=total)
+        elif op.op == "delete":
+            with self._lock:
+                self.stats.deletes += 1
+                self.stats.items_deleted += 1
+            self._charge("delete")
         elif op.op == "multi_delete":
             with self._lock:
                 self.stats.deletes += 1
@@ -252,62 +216,31 @@ class RemoteStorage(StorageEngine):
     # The op contract: each op awaits its socket round trip
     # ------------------------------------------------------------------ #
     async def get_async(self, key: str) -> bytes | None:
-        op = StorageOp(op="get", keys=(key,))
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        result = await self._apply(StorageOp(op="get", keys=(key,)))
         return (result.values or {}).get(key)
 
     async def put_async(self, key: str, value: bytes) -> None:
-        op = StorageOp(op="put", keys=(key,), items={key: value})
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        await self._apply(StorageOp(op="put", keys=(key,), items={key: value}))
 
     async def delete_async(self, key: str) -> None:
-        await self._call(StorageRequest(op="delete", keys=[key]))
-        with self._lock:
-            self.stats.deletes += 1
-            self.stats.items_deleted += 1
-        self._charge("delete")
+        await self._apply(StorageOp(op="delete", keys=(key,)))
 
     async def multi_get_async(self, keys: Iterable[str]) -> dict[str, bytes | None]:
         keys = list(keys)
         if not keys:
             return {}
-        op = StorageOp(op="multi_get", keys=tuple(keys))
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
-        values = result.values or {}
+        values = (await self._apply(StorageOp(op="multi_get", keys=tuple(keys)))).values or {}
         return {key: values.get(key) for key in keys}
 
     async def multi_put_async(self, items: Mapping[str, bytes]) -> None:
-        if not items:
-            return
-        op = StorageOp(op="multi_put", keys=tuple(items), items=dict(items))
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        if items:
+            await self._apply(StorageOp(op="multi_put", keys=tuple(items), items=dict(items)))
 
     async def multi_delete_async(self, keys: Iterable[str]) -> None:
-        keys = list(keys)
-        if not keys:
-            return
-        op = StorageOp(op="multi_delete", keys=tuple(keys))
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        keys = tuple(keys)
+        if keys:
+            await self._apply(StorageOp(op="multi_delete", keys=keys))
 
     async def list_keys_async(self, prefix: str = "") -> list[str]:
-        op = StorageOp(op="list", prefix=prefix)
-        result = await self._submit(op)
-        if result.error is not None:
-            raise result.error
-        self._account_op(op, result)
+        result = await self._apply(StorageOp(op="list", prefix=prefix))
         return list(result.keys or [])

@@ -12,8 +12,9 @@ acceptance bar from the paper's perspective:
 * the nemesis scenario: a node whose heartbeats are paused is declared
   failed, a standby is promoted, and the old node's late commit-record
   write is rejected by its stale epoch token;
-* both storage frame shapes — ops coalesced into ``storage_batch`` frames,
-  and one ``storage`` frame per op — carry all of the above;
+* every storage op a node issues, a single delete included, rides a
+  ``storage_batch`` frame;
+* a commit whose publish fails stays queued and reaches the peers later;
 * the router serves storage as coroutines on its own loop: a slow engine
   neither stalls the loop nor serializes concurrent sessions.
 """
@@ -31,10 +32,10 @@ from repro.errors import FencedNodeError, UnknownTransactionError
 from repro.ids import TransactionId
 from repro.rpc import messages as m
 from repro.rpc.client import AsyncRouterClient
-from repro.rpc.framing import connect
+from repro.rpc.framing import RpcError, connect
 from repro.rpc.node_server import NodeServer
 from repro.rpc.router import RouterServer
-from repro.storage.base import StorageEngine
+from repro.storage.base import StorageEngine, StorageOp
 from repro.storage.latency import ConstantLatency
 from repro.storage.latency_injected import LatencyInjectedStorage
 from repro.storage.memory import InMemoryStorage
@@ -49,7 +50,6 @@ class SocketCluster:
         standbys: int = 0,
         lease_duration: float = 0.6,
         heartbeat_interval: float = 0.1,
-        enable_storage_batching: bool = True,
         storage: StorageEngine | None = None,
     ) -> None:
         self.router = RouterServer(
@@ -60,7 +60,6 @@ class SocketCluster:
         )
         self.n_nodes = n_nodes
         self.n_standbys = standbys
-        self.enable_storage_batching = enable_storage_batching
         self.nodes: list[NodeServer] = []
         self.standbys: list[NodeServer] = []
         self.client: AsyncRouterClient | None = None
@@ -68,20 +67,11 @@ class SocketCluster:
     async def __aenter__(self) -> "SocketCluster":
         await self.router.start()
         for i in range(self.n_nodes):
-            node = NodeServer(
-                f"n{i}",
-                router_port=self.router.port,
-                enable_storage_batching=self.enable_storage_batching,
-            )
+            node = NodeServer(f"n{i}", router_port=self.router.port)
             await node.start()
             self.nodes.append(node)
         for i in range(self.n_standbys):
-            standby = NodeServer(
-                f"s{i}",
-                router_port=self.router.port,
-                kind="standby",
-                enable_storage_batching=self.enable_storage_batching,
-            )
+            standby = NodeServer(f"s{i}", router_port=self.router.port, kind="standby")
             await standby.start()
             self.standbys.append(standby)
         self.client = await AsyncRouterClient.connect("127.0.0.1", self.router.port)
@@ -96,19 +86,10 @@ class SocketCluster:
         await self.router.stop()
 
 
-#: Storage frame shapes every end-to-end scenario must survive: ops coalesced
-#: into ``storage_batch`` frames (the default), and one frame per op.
-WIRE_MATRIX = {
-    "batched": dict(),
-    "unbatched": dict(enable_storage_batching=False),
-}
-
-
 class TestCommitsThroughRouter:
-    @pytest.mark.parametrize("wire", list(WIRE_MATRIX), ids=str)
-    def test_commit_and_cross_node_read(self, wire):
+    def test_commit_and_cross_node_read(self):
         async def scenario():
-            async with SocketCluster(n_nodes=3, **WIRE_MATRIX[wire]) as cluster:
+            async with SocketCluster(n_nodes=3) as cluster:
                 client = cluster.client
                 # Several transactions: round-robin spreads them over nodes.
                 for i in range(6):
@@ -353,6 +334,34 @@ class TestNodeBackgroundLoops:
 
         asyncio.run(scenario())
 
+    def test_failed_publish_keeps_its_records_for_the_next_one(self):
+        async def scenario():
+            async with SocketCluster(n_nodes=2) as cluster:
+                n0, n1 = cluster.nodes
+                real_request = n0.conn.request
+                failed: list[m.PublishCommits] = []
+
+                async def flaky_request(message, *args, **kwargs):
+                    if isinstance(message, m.PublishCommits) and not failed:
+                        failed.append(message)
+                        raise RpcError("transient publish failure")
+                    return await real_request(message, *args, **kwargs)
+
+                n0.conn.request = flaky_request
+                client = cluster.client
+                for node_id in ("n0", "n1"):
+                    tx = await client.start_transaction()
+                    assert cluster.router._routes[tx].node_id == node_id
+                    await client.put(tx, f"key-{node_id}", b"v")
+                    await client.commit_transaction(tx)
+                assert failed, "n0 never tried to publish"
+                deadline = time.monotonic() + 2.0
+                while n1.node.stats.remote_commits_applied < 1:
+                    assert time.monotonic() < deadline, "n0's commit never reached n1"
+                    await asyncio.sleep(0.02)
+
+        asyncio.run(scenario())
+
 
 def _slow_storage(seconds: float) -> LatencyInjectedStorage:
     return LatencyInjectedStorage(InMemoryStorage(), injected=ConstantLatency(seconds))
@@ -368,9 +377,8 @@ class TestRouterStorageService:
             try:
                 loop = asyncio.get_running_loop()
                 started = loop.time()
-                pending = loop.create_task(
-                    conn.request(m.StorageRequest(op="get", keys=["k"]), timeout=5.0)
-                )
+                batch = m.encode_storage_ops([StorageOp(op="get", keys=("k",))])
+                pending = loop.create_task(conn.request(batch, timeout=5.0))
                 await asyncio.sleep(0.05)
                 assert loop.time() - started < 0.15
                 assert not pending.done()
@@ -379,7 +387,7 @@ class TestRouterStorageService:
                 assert loop.time() - before_info < 0.15
                 assert not pending.done()
                 reply = await pending
-                assert reply.values == {"k": None}
+                assert m.decode_storage_results(reply)[0].values == {"k": None}
             finally:
                 await client.close()
                 await conn.close()
@@ -445,21 +453,17 @@ class TestWireNegotiation:
 
         asyncio.run(scenario())
 
-    def test_batching_disabled_still_serves(self):
+    def test_delete_rides_a_storage_batch(self):
         async def scenario():
-            async with SocketCluster(n_nodes=2, enable_storage_batching=False) as cluster:
-                client = cluster.client
-                tx = await client.start_transaction()
-                await client.put_many(tx, {"a": b"1", "b": b"2"})
-                await client.commit_transaction(tx)
-                tx = await client.start_transaction()
-                values = await client.get_many(tx, ["a", "b"])
-                assert values == {"a": b"1", "b": b"2"}
-                await client.commit_transaction(tx)
-                for node in cluster.nodes:
-                    assert not node.storage.supports_storage_batches
-                info = await client.info()
-                assert all(c["batched_ops_in"] == 0 for c in info.wire.values())
+            async with SocketCluster(n_nodes=1) as cluster:
+                server = cluster.nodes[0]
+                await server.storage.put_async("doomed", b"x")
+                sent = server.conn.stats.batched_ops_sent
+                deletes = server.storage.stats.deletes
+                await server.storage.delete_async("doomed")
+                assert server.conn.stats.batched_ops_sent == sent + 1
+                assert server.storage.stats.deletes == deletes + 1
+                assert await cluster.router.storage.get_async("doomed") is None
 
         asyncio.run(scenario())
 

@@ -11,7 +11,8 @@
   exception, not just by the peer;
 * ``storage_batch`` op groups round-trip with per-op payloads and per-op
   errors intact;
-* the send queue coalesces frames queued during an in-flight ``drain``.
+* concurrent sends each write one whole frame, in call order, with one
+  ``drain`` per frame.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class TestCodecOracle:
 class TestFrameSniffing:
     def test_binary_payload_is_raw_not_base64(self):
         blob = bytes(range(256)) * 8
-        message = m.StorageResponse(values={"key": blob})
+        message = m.ClientValues(values={"key": blob})
         msg_type, body = m.encode_body(message)
         frame = frame_bytes({"re": 1, "type": msg_type, "body": body})
         assert blob in frame  # verbatim bytes, no inflation
@@ -158,7 +159,7 @@ class TestFrameSniffing:
 class TestSendSideLimit:
     def test_oversized_outgoing_frame_is_rejected_locally(self, monkeypatch):
         monkeypatch.setattr(framing, "MAX_FRAME_BYTES", 512)
-        message = m.StorageRequest(op="put", items={"k": b"x" * 4096})
+        message = m.ClientPut(txid="t1", items={"k": b"x" * 4096})
         msg_type, body = m.encode_body(message)
         with pytest.raises(FrameTooLargeError, match="exceeds the 512-byte limit"):
             frame_bytes({"id": 1, "type": msg_type, "body": body})
@@ -222,22 +223,26 @@ class _FakeWriter:
         pass
 
 
-class TestWriterCoalescing:
-    def test_frames_queued_during_drain_share_one_write(self):
+class TestSending:
+    def test_concurrent_sends_each_write_one_whole_frame_in_order(self):
         async def scenario():
             writer = _FakeWriter()
             conn = RpcConnection(asyncio.StreamReader(), writer)
-            await asyncio.gather(
-                *(conn.notify(m.Heartbeat(node_id=f"n{i}")) for i in range(10))
-            )
-            return writer, conn
+            messages = [m.Heartbeat(node_id=f"n{i}") for i in range(10)]
+            await asyncio.gather(*(conn.notify(message) for message in messages))
+            return writer, conn, messages
 
-        writer, conn = asyncio.run(scenario())
+        writer, conn, messages = asyncio.run(scenario())
+        # Each notify writes its own frame and awaits its own drain, even
+        # while the slow drains of the others are in flight.
         assert conn.stats.frames_sent == 10
-        # The first frame flushes alone; everything queued during its drain
-        # goes out in (at most a couple of) combined writes.
-        assert conn.stats.drains < 10
-        assert len(writer.writes) == conn.stats.drains
+        assert conn.stats.drains == conn.stats.frames_sent
+        assert len(writer.writes) == 10
+        for chunk, message in zip(writer.writes, messages):
+            (length,) = struct.unpack_from(">I", chunk)
+            assert len(chunk) == 4 + length
+            envelope = decode_frame(chunk[4:])
+            assert m.decode_body(envelope["type"], envelope["body"]) == message
         assert sum(len(chunk) for chunk in writer.writes) == conn.stats.bytes_sent
 
     def test_counters_track_both_directions(self):

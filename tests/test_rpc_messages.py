@@ -31,9 +31,6 @@ SAMPLES = [
     m.Ok(),
     m.PublishCommits(node_id="n1", records=[b"abc"]),
     m.DeliverCommits(records=[b"abc", b"def"]),
-    m.StorageRequest(op="multi_put", items={"k": b"v"}),
-    m.StorageRequest(op="multi_get", keys=["a", "b"]),
-    m.StorageResponse(values={"a": b"v", "b": None}, keys=["a"]),
     m.StorageBatch(
         ops=[{"op": "put", "keys": ["k"], "v": [0]}, {"op": "get", "keys": ["a"]}],
         blobs=[b"v"],
@@ -50,11 +47,6 @@ SAMPLES = [
     m.ClientCommit(txid="t1"),
     m.ClientCommitted(txid="t1", commit_token="1.5|abc"),
     m.ClientAbort(txid="t1"),
-    m.TxnStart(txid="t1"),
-    m.TxnGet(txid="t1", keys=["x", "y"]),
-    m.TxnPut(txid="t1", items={}),
-    m.TxnCommit(txid="t1"),
-    m.TxnAbort(txid="t1"),
     m.Info(),
     m.InfoReply(nodes=["n0"], standbys=["s0"], epoch=3, commits=12, wire={"n0": {"frames_out": 4}}),
     m.Nemesis(node_id="n0", pause_heartbeats=True),
