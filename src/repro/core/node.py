@@ -633,10 +633,13 @@ class AftNode:
         then the record); with ``enable_group_commit`` concurrent callers are
         additionally coalesced into a shared batch by the
         :class:`~repro.core.group_commit.GroupCommitter`.  If the caller is
-        cancelled (a client timeout) mid-persist, the stage barrier
-        guarantees the commit record was not yet issued: the transaction is
-        simply not committed, and its spilled/partial data is unreferenced
-        garbage for the GC — never a fractured read.
+        cancelled (a client timeout) mid-persist, the transaction is either
+        not committed — its spilled/partial data is unreferenced garbage for
+        the GC — or, once an engine that ships the whole plan in one request
+        (``supports_storage_batches``, the socket runtime) has sent it,
+        committed without this node finalizing it: the record still lands
+        only after the data, and the router fans it out to the other nodes.
+        Never a fractured read either way.
         """
         self._require_running()
         # Prepare is in-memory bookkeeping; only the persist round trip gets

@@ -23,10 +23,14 @@ seen), so after heal + quiescence *every* member's metadata cache must hold
 every key's latest acked version — a leaked relay hand-off is permanent
 precisely because the fault manager's unpruned feed marked the records
 seen, which is what makes the reverted relay-reroute mutant detectable.
-The socket runtime has no anti-entropy, so the probe writes a fresh
-*sealing* version per key and requires every subsequent read to observe at
-least the pre-seal acked version (a healed broadcast link must deliver the
-sealing write; observing anything older is a violation).
+The socket runtime has no anti-entropy.  The router sends each commit
+record to the peers as it lands, before the writer's storage reply, so no
+commit is acked before its broadcast is queued — but a delivery the
+``frame_drop`` fault swallows (or one that fails) is never resent.  So the
+probe writes a fresh *sealing* version per key and requires every
+subsequent read to observe at least the pre-seal acked version (a healed
+broadcast link must deliver the sealing write; observing anything older is
+a violation).
 """
 
 from __future__ import annotations
@@ -542,8 +546,9 @@ class SocketTarget:
     def convergence_violations(self, expected: dict[str, TransactionId]) -> list[str]:
         """Seal every key with a fresh write, then require subsequent reads
         to observe at least the pre-seal acked version.  The socket runtime
-        has no anti-entropy, so a *healed* broadcast link proving it can
-        deliver the sealing write is the strongest portable guarantee."""
+        has no anti-entropy (a dropped delivery is never resent), so a
+        *healed* broadcast link proving it can deliver the sealing write is
+        the strongest portable guarantee."""
         from repro.consistency import TaggedValue
 
         sealing: dict[str, str] = {}

@@ -120,24 +120,15 @@ class Ok(WireMessage):
 
 
 # --------------------------------------------------------------------- #
-# Commit stream (node <-> router hub)
+# Commit stream (router -> node)
 # --------------------------------------------------------------------- #
 @dataclass
-class PublishCommits(WireMessage):
-    """Node -> router: recently committed records for fan-out (raw blobs)."""
-
-    TYPE: ClassVar[str] = "publish_commits"
-    BYTES_LIST_FIELDS: ClassVar[tuple[str, ...]] = ("records",)
-    node_id: str = ""
-    records: list = field(default_factory=list)
-    #: Optional causal-trace context ("trace_id:parent_span_id"); empty
-    #: means untraced.
-    trace: str = ""
-
-
-@dataclass
 class DeliverCommits(WireMessage):
-    """Router -> node: peer commit records to merge into the metadata cache."""
+    """Router -> node: peer commit records to merge into the metadata cache.
+
+    The router sends one per storage frame whose commit-record puts landed,
+    to every serving node but the writer, before it replies to the writer.
+    """
 
     TYPE: ClassVar[str] = "deliver_commits"
     BYTES_LIST_FIELDS: ClassVar[tuple[str, ...]] = ("records",)
@@ -155,10 +146,12 @@ class StorageBatch(WireMessage):
     included, travels as one op of a batch.
 
     ``ops`` is a list of compact descriptors ``{"op", "keys", "prefix",
-    "v"}`` where ``v`` holds per-key indexes into the shared ``blobs``
-    table for write values.  The flat blob table is what lets the batch ride
-    the frame's bulk section untouched; build/parse through
-    :func:`encode_storage_ops` / :func:`decode_storage_ops`.
+    "v", "after"}`` where ``v`` holds per-key indexes into the shared
+    ``blobs`` table for write values and ``after`` the indexes of earlier
+    ops that must succeed first (:attr:`StorageOp.after`).  The flat blob
+    table is what lets the batch ride the frame's bulk section untouched;
+    build/parse through :func:`encode_storage_ops` /
+    :func:`decode_storage_ops`.
     """
 
     TYPE: ClassVar[str] = "storage_batch"
@@ -328,7 +321,6 @@ MESSAGE_TYPES: dict[str, type[WireMessage]] = {
         Heartbeat,
         Activate,
         Ok,
-        PublishCommits,
         DeliverCommits,
         StorageBatch,
         StorageBatchResult,
@@ -441,6 +433,8 @@ def encode_storage_ops(ops: list[StorageOp]) -> StorageBatch:
         desc: dict[str, Any] = {"op": op.op, "keys": list(op.keys)}
         if op.prefix:
             desc["prefix"] = op.prefix
+        if op.after:
+            desc["after"] = list(op.after)
         if op.items is not None:
             indexes = []
             for key in op.keys:
@@ -459,7 +453,13 @@ def decode_storage_ops(batch: StorageBatch) -> list[StorageOp]:
         if "v" in desc:
             items = {key: bytes(batch.blobs[index]) for key, index in zip(keys, desc["v"])}
         ops.append(
-            StorageOp(op=desc.get("op", "get"), keys=keys, items=items, prefix=desc.get("prefix", ""))
+            StorageOp(
+                op=desc.get("op", "get"),
+                keys=keys,
+                items=items,
+                prefix=desc.get("prefix", ""),
+                after=tuple(desc.get("after", ())),
+            )
         )
     return ops
 

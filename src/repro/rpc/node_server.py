@@ -9,8 +9,9 @@ multiplexed:
 
 * **lease renewals** (heartbeat notifications on the cadence the router's
   ``hello_ack`` dictates),
-* **the commit stream** (drained recent commits published up; peer commits
-  delivered down and merged into the metadata cache),
+* **the commit stream** (peer commits delivered down and merged into the
+  metadata cache; the node's own commits need no publish, because the
+  router fans each commit record out where it lands),
 * **relayed client sessions** (the clients' own ``client_*`` messages for
   the transactions the router pins here, answered in kind),
 * **fault injection** (``nemesis`` pauses heartbeats while leaving the
@@ -33,7 +34,7 @@ import sys
 from typing import Awaitable, Callable
 
 from repro.config import AftConfig
-from repro.core.commit_set import CommitRecord, CommitSetStore
+from repro.core.commit_set import CommitSetStore
 from repro.core.metadata_plane.fencing import FenceToken
 from repro.core.node import AftNode
 from repro.errors import AftError
@@ -43,9 +44,6 @@ from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
 from repro.rpc.framing import ConnectionClosedError, RpcConnection, connect, pin_malloc_thresholds
 from repro.rpc.storage_client import RemoteStorage
-
-#: How often drained commits are published to the router's commit hub.
-PUBLISH_INTERVAL = 0.05
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +82,6 @@ class NodeServer:
         self._serving = asyncio.Event()
         self._closed = asyncio.Event()
         self._tasks: list[asyncio.Task] = []
-        #: Drained commit records no ``PublishCommits`` has been acked for.
-        self._unpublished: list[CommitRecord] = []
 
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
@@ -121,7 +117,7 @@ class NodeServer:
 
         self._tasks = [
             loop.create_task(self._every(self.heartbeat_interval, self._heartbeat, "heartbeat")),
-            loop.create_task(self._every(PUBLISH_INTERVAL, self._publish_now, "commit publish")),
+            loop.create_task(self._every(self.heartbeat_interval, self._housekeep, "housekeeping")),
         ]
         self._sink.start()
 
@@ -166,7 +162,7 @@ class NodeServer:
 
         A failure is logged and the next tick tries again: one transient
         error must not end lease renewals (the lease would lapse and a
-        healthy node would be fenced) or commit publishing.  Only a closed
+        healthy node would be fenced) or housekeeping.  Only a closed
         connection ends the loop.
         """
         while True:
@@ -184,34 +180,12 @@ class NodeServer:
         if not self.heartbeats_paused:
             await self.conn.notify(m.Heartbeat(node_id=self.node_id))
 
-    async def _publish_now(self) -> None:
-        """Publish the unacked commits: a failed request keeps them queued.
-
-        The buffer is cleared before the await, so a concurrent eager and
-        periodic publish never send the same records twice; on failure the
-        records go back in front of whatever queued meanwhile.
-        """
-        records = self._unpublished + self.node.drain_recent_commits()
-        if not records:
-            return
-        self._unpublished = []
-        try:
-            # A request, not a notification: the router replies only after it
-            # has written the deliver frames to every peer, so once the commit
-            # ack (which follows this) reaches the client, any later request
-            # to a sibling node is behind that sibling's deliver frame.
-            # No span of its own: ``router.publish_fanout`` times the same
-            # round trip from the other side, parented via the trace field.
-            await self.conn.request(
-                m.PublishCommits(
-                    node_id=self.node_id,
-                    records=m.encode_records(records),
-                    trace=tr.wire_context(),
-                )
-            )
-        except BaseException:
-            self._unpublished = records + self._unpublished
-            raise
+    async def _housekeep(self) -> None:
+        """Bound the per-transaction state (§3.3.1): abort transactions idle
+        past ``transaction_timeout`` (a client that died mid-transaction),
+        then drop the bookkeeping of finished ones."""
+        self.node.expire_idle_transactions()
+        self.node.forget_finished_transactions()
 
     # ------------------------------------------------------------------ #
     # Request handling (router -> node)
@@ -237,16 +211,9 @@ class NodeServer:
         if isinstance(msg, m.ClientCommit):
             with tr.span("node.commit", txid=msg.txid, parent=msg.trace):
                 commit_id = await node.commit_transaction_async(msg.txid)
-                # Publish eagerly: the commit ack and the peer broadcast leave
-                # together, so a follow-up transaction on a sibling node sees
-                # the new version without waiting out the publish interval.
-                try:
-                    await self._publish_now()
-                except Exception:
-                    # The records stay queued for the periodic publish.
-                    logger.warning(
-                        "node %s: eager commit publish failed", self.node_id, exc_info=True
-                    )
+                # The router already sent the record to the peers when it
+                # landed; the in-process multicast queue has no reader here.
+                node.drain_recent_commits()
             self.metrics.counter("txns_committed").inc()
             tr.end_txn(msg.txid)
             return m.ClientCommitted(txid=msg.txid, commit_token=commit_id.to_token())

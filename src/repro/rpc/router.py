@@ -12,15 +12,20 @@ paper's deployment (Section 4):
   :class:`~repro.core.metadata_plane.fencing.EpochFence` before the write
   lands.  A fenced node's commit fails at the record write, after its data
   writes — exactly the §3.3 write-ordering failure mode AFT tolerates:
-  durable but unreferenced data, garbage, never a visible commit.
+  durable but unreferenced data, garbage, never a visible commit.  The
+  §3.3 order itself is enforced here too: a frame's ops run in dependency
+  waves (``StorageOp.after``), so a node's commit plan — data, then record
+  — is one frame, and a record whose data failed is never written.
 * **Lease membership.**  Nodes renew leases with heartbeat frames; a lease
   expiring marks the node failed, revokes its fencing token, removes it
   from client routing, and promotes a standby (fresh token, ``activate``
   message) — the :class:`~repro.core.metadata_plane.membership.LeaseMembership`
   strategy made load-bearing on sockets.
-* **Commit-stream hub.**  ``publish_commits`` from a node fans out as
-  ``deliver_commits`` to every other serving node — the
-  :class:`CommitStream` strategy's role, with the router as the relay.
+* **Commit-stream hub.**  A commit-record put that lands is fanned out as
+  ``deliver_commits`` to every other serving node before the writer gets
+  its storage reply — the :class:`CommitStream` strategy's role, played
+  where the record is written, so an acked commit has always reached the
+  peers' links and the node needs no publish round trip of its own.
 * **Client session routing.**  Clients open transactions against the
   router; each is pinned round-robin to a serving node, and the client's own
   Table-1 messages are relayed over that node's existing connection.  The
@@ -36,6 +41,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
+import logging
 import sys
 import time
 from dataclasses import dataclass, field
@@ -44,7 +50,7 @@ from repro.config import ObservabilityConfig
 from repro.core.commit_set import CommitRecord
 from repro.core.metadata_plane.fencing import EpochFence
 from repro.core.metadata_plane.keyspace import PARTITIONED_PREFIX
-from repro.errors import AftError, NoAvailableNodeError, UnknownTransactionError
+from repro.errors import AftError, NoAvailableNodeError, StorageError, UnknownTransactionError
 from repro.ids import COMMIT_PREFIX, KEY_SEPARATOR
 from repro.observability import metrics as om
 from repro.observability import trace as tr
@@ -55,6 +61,9 @@ from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
 from repro.storage.memory import InMemoryStorage
 
 _COMMIT_KEY_PREFIXES = (COMMIT_PREFIX + KEY_SEPARATOR, PARTITIONED_PREFIX + ".")
+
+
+logger = logging.getLogger(__name__)
 
 
 def is_commit_record_storage_key(key: str) -> bool:
@@ -231,9 +240,6 @@ class RouterServer:
             return None
         if isinstance(msg, m.Hello):
             return self._handle_hello(conn, msg)
-        if isinstance(msg, m.PublishCommits):
-            await self._handle_publish(msg)
-            return m.Ok()
         if isinstance(msg, m.ClientStart):
             return await self._handle_client_start(msg)
         if isinstance(msg, m.ClientGet):
@@ -302,16 +308,11 @@ class RouterServer:
             heartbeat_interval=self.heartbeat_interval,
         )
 
-    async def _handle_publish(self, msg: m.PublishCommits) -> None:
-        self._commits_seen += len(msg.records)
-        self.metrics.counter("commit_records_published").inc(len(msg.records))
-        with tr.span("router.publish_fanout", parent=msg.trace, n_records=len(msg.records)):
-            await self._fan_out(msg)
-
-    async def _fan_out(self, msg: m.PublishCommits) -> None:
-        deliver = m.DeliverCommits(records=msg.records)
+    async def _fan_out(self, sender: RpcConnection, records: list[bytes]) -> None:
+        """Send landed commit records to every serving node but ``sender``."""
+        deliver = m.DeliverCommits(records=records)
         for session in list(self._sessions.values()):
-            if session.active and session.node_id != msg.node_id:
+            if session.active and session.conn is not sender:
                 if session.deliver_drop:
                     # Nemesis: the broadcast link to this node is severed.
                     continue
@@ -323,20 +324,27 @@ class RouterServer:
                         self._deliver_later(session, deliver, session.deliver_delay)
                     )
                     continue
-                try:
-                    await session.conn.notify(deliver)
-                except Exception:
-                    # The lease loop (or on_close) handles the dead peer.
-                    continue
+                await self._deliver(session, deliver)
 
     async def _deliver_later(
         self, session: _NodeSession, deliver: m.DeliverCommits, delay: float
     ) -> None:
         await asyncio.sleep(delay)
+        await self._deliver(session, deliver)
+
+    async def _deliver(self, session: _NodeSession, deliver: m.DeliverCommits) -> None:
         try:
             await session.conn.notify(deliver)
         except Exception:
-            pass
+            # The peer never gets these records: say so.  The lease loop (or
+            # on_close) handles a dead peer.
+            self.metrics.counter("deliver_failures").inc()
+            logger.warning(
+                "router: %d commit record(s) not delivered to %s",
+                len(deliver.records),
+                session.node_id,
+                exc_info=True,
+            )
 
     async def _handle_client_start(self, msg: m.ClientStart) -> m.WireMessage:
         serving = [s for s in self._sessions.values() if s.active]
@@ -427,20 +435,67 @@ class RouterServer:
     ) -> m.StorageBatchResult:
         """Execute one batched op group, one reply frame, errors per op.
 
-        Ops are issued the way ``execute_plan_async`` issues a stage
-        (:meth:`StorageEngine.fan_out`): awaited in order over a metered
-        engine, gathered on this loop under ``effective_io_concurrency`` over
-        a wall-clock engine.
+        The ops run in dependency waves: a wave holds every op whose
+        ``after`` prerequisites all ran in earlier waves, and an op with a
+        failed prerequisite gets an error result and never touches storage — §3.3's data-before-record order, enforced where
+        the writes land.  Each wave is issued the way ``execute_plan_async``
+        issues a stage (:meth:`StorageEngine.fan_out`): awaited in order over
+        a metered engine, gathered on this loop under
+        ``effective_io_concurrency`` over a wall-clock engine.
+
+        Every commit record the frame landed goes to the other serving nodes
+        in one ``deliver_commits`` *before* the reply, so by the time the
+        writer acks its commit each sibling's deliver frame is already
+        queued ahead of any later request to it.
         """
         ops = m.decode_storage_ops(msg)
         conn.stats.batched_ops_received += len(ops)
         self.metrics.counter("storage_ops").inc(len(ops))
         self.metrics.counter("storage_batches").inc()
         with tr.span("router.storage_batch", parent=msg.trace, n_ops=len(ops)):
-            results = await self.storage.fan_out(
-                [functools.partial(self._handle_storage, op) for op in ops]
-            )
+            results: list[StorageOpResult | None] = [None] * len(ops)
+            for wave in _dependency_waves(ops):
+                ready = []
+                for index in wave:
+                    if any(results[dep].error is not None for dep in ops[index].after):
+                        results[index] = StorageOpResult(
+                            error=StorageError(f"storage op {index} skipped: a prerequisite failed")
+                        )
+                    else:
+                        ready.append(index)
+                landed = await self.storage.fan_out(
+                    [functools.partial(self._handle_storage, ops[index]) for index in ready]
+                )
+                for index, result in zip(ready, landed):
+                    results[index] = result
+            records = [
+                value
+                for op, result in zip(ops, results)
+                if op.items and result.error is None
+                for key, value in op.items.items()
+                if is_commit_record_storage_key(key)
+            ]
+            if records:
+                self._commits_seen += len(records)
+                self.metrics.counter("commit_records_published").inc(len(records))
+                with tr.span("router.publish_fanout", n_records=len(records)):
+                    await self._fan_out(conn, records)
             return m.encode_storage_results(results)
+
+
+def _dependency_waves(ops: list[StorageOp]) -> list[list[int]]:
+    """Op indexes grouped by ``after`` depth: wave ``k`` depends only on
+    waves before it.  A link must name an earlier op of the frame; a frame
+    with any other link is refused whole."""
+    depth: list[int] = []
+    for index, op in enumerate(ops):
+        if not all(0 <= dep < index for dep in op.after):
+            raise AftError(f"storage op {index} links to {list(op.after)}, not to earlier ops")
+        depth.append(1 + max((depth[dep] for dep in op.after), default=-1))
+    waves: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
+    for index, level in enumerate(depth):
+        waves[level].append(index)
+    return waves
 
 
 def main(argv: list[str] | None = None) -> int:

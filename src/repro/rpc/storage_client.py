@@ -7,11 +7,18 @@ coroutine that awaits its socket round trip, and the engine declares
 
 Every op travels as one op of a ``storage_batch`` frame.  Ops go through a
 cross-transaction :class:`_OpCoalescer`: the ops submitted within one
-event-loop tick (or a configurable window) share a frame, so an IO-plan
-stage's whole request group crosses the wire as one round trip
-(``supports_storage_batches``) and independent single ops from *concurrent*
-transactions share frames when they happen to meet.  Per-op errors come
-back as data, so a fenced commit-record write fails exactly its own waiter.
+event-loop tick (or a configurable window) share a frame, so a whole IO
+plan crosses the wire as one round trip (``supports_storage_batches``; its
+stage barriers ride along as ``StorageOp.after`` links, which the router
+honours) and independent single ops from *concurrent* transactions share
+frames when they happen to meet.  Per-op errors come back as data, so a
+fenced commit-record write fails exactly its own waiter.
+
+Once a frame has left, cancelling a waiter does not recall its ops: a
+commit whose caller is cancelled after the flush still lands, data first
+and record after, and the router fans the record out to the other nodes —
+the commit is durable and visible to the peers, and only the origin node
+never learns of it.
 
 Accounting rule: the layer that returns to the caller does the stats and
 latency accounting — the single-op coroutines account for themselves, the
@@ -30,6 +37,7 @@ deadlocking.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 from typing import Iterable, Mapping
 
 from repro.errors import StorageError
@@ -49,13 +57,19 @@ COALESCE_MAX_OPS = 128
 class _OpCoalescer:
     """Packs concurrently submitted storage ops into shared wire frames.
 
-    ``submit`` parks the op and schedules a flush; every op that lands
-    before the flush callback runs — ops from the same plan stage *and* from
-    other transactions interleaved on the loop — rides the same
+    ``submit_many`` parks a group of ops and schedules a flush; every group
+    that lands before the flush callback runs — a whole IO plan *and* ops
+    of other transactions interleaved on the loop — rides the same
     ``storage_batch`` frame.  The default window of 0 flushes on the next
     event-loop tick (``call_soon``): no added latency, pure piggybacking on
     natural concurrency.  A positive window trades that latency for bigger
     frames via ``call_later``.
+
+    A group is never split across frames, because its ops' ``after`` links
+    point into it: the group is parked contiguously with its links shifted
+    to frame indexes, the open batch is flushed first if the group would
+    overflow ``COALESCE_MAX_OPS``, and a group larger than the cap travels
+    alone.
     """
 
     def __init__(self, conn: RpcConnection, owner: "RemoteStorage", window: float) -> None:
@@ -66,12 +80,20 @@ class _OpCoalescer:
         self._pending_futures: list[asyncio.Future] = []
         self._flush_handle: asyncio.TimerHandle | None = None
 
-    def submit(self, op: StorageOp) -> asyncio.Future:
-        """Park one op; the returned future resolves to its StorageOpResult."""
+    def submit_many(self, ops: list[StorageOp]) -> list[asyncio.Future]:
+        """Park one op group; each future resolves to its op's StorageOpResult."""
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending_ops.append(op)
-        self._pending_futures.append(future)
+        if self._pending_ops and len(self._pending_ops) + len(ops) > COALESCE_MAX_OPS:
+            self._flush(loop)
+        base = len(self._pending_ops)
+        if base:
+            ops = [
+                replace(op, after=tuple(base + index for index in op.after)) if op.after else op
+                for op in ops
+            ]
+        futures = [loop.create_future() for _ in ops]
+        self._pending_ops.extend(ops)
+        self._pending_futures.extend(futures)
         if len(self._pending_ops) >= COALESCE_MAX_OPS:
             self._flush(loop)
         elif self._flush_handle is None:
@@ -79,10 +101,7 @@ class _OpCoalescer:
                 self._flush_handle = loop.call_later(self._window, self._flush, loop)
             else:
                 self._flush_handle = loop.call_soon(self._flush, loop)
-        return future
-
-    def submit_many(self, ops: list[StorageOp]) -> list[asyncio.Future]:
-        return [self.submit(op) for op in ops]
+        return futures
 
     def _flush(self, loop: asyncio.AbstractEventLoop) -> None:
         if self._flush_handle is not None:
@@ -146,7 +165,7 @@ class RemoteStorage(StorageEngine):
 
     async def _apply(self, op: StorageOp) -> StorageOpResult:
         """Ship one op, raise its error or account for it."""
-        result = await self._coalescer.submit(op)
+        result = await self._coalescer.submit_many([op])[0]
         if result.error is not None:
             raise result.error
         self._account_op(op, result)
@@ -203,7 +222,7 @@ class RemoteStorage(StorageEngine):
             self._charge("list", n_items=max(1, len(result.keys or [])))
 
     # ------------------------------------------------------------------ #
-    # Storage-op groups: one wire frame per plan stage (plus stowaways)
+    # Storage-op groups: one wire frame per IO plan (plus stowaways)
     # ------------------------------------------------------------------ #
     async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
         results = list(await asyncio.gather(*self._coalescer.submit_many(ops)))

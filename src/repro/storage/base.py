@@ -187,15 +187,22 @@ class StorageOp:
     thunk, so engines that talk to a *remote* storage service can ship a
     whole group of ops over the wire in one frame instead of one round trip
     per op.  ``op`` is one of ``get`` / ``multi_get`` / ``put`` /
-    ``multi_put`` / ``multi_delete`` / ``list``; ``items`` carries the
-    values for writes (keyed exactly by ``keys``); ``prefix`` is only
-    meaningful for ``list``.
+    ``multi_put`` / ``delete`` / ``multi_delete`` / ``list``; ``items``
+    carries the values for writes (keyed exactly by ``keys``); ``prefix`` is
+    only meaningful for ``list``.
+
+    ``after`` lists the indexes of earlier ops *in the same group* that must
+    all succeed before this op is applied: an IO-plan stage barrier carried
+    as data, so a group can hold several stages and the executor still
+    applies them in order (and never applies an op whose prerequisite
+    failed).
     """
 
     op: str
     keys: tuple[str, ...] = ()
     items: Mapping[str, bytes] | None = None
     prefix: str = ""
+    after: tuple[int, ...] = ()
 
 
 @dataclass
@@ -377,52 +384,85 @@ class StorageEngine(ABC):
 
         Only engines declaring ``supports_storage_batches`` implement this
         (everything else has its plan stages issued group by group, see
-        :meth:`execute_plan_async`).  Exceptions are captured per op, never
-        raised, so callers can fail exactly the waiter whose op failed.
+        :meth:`execute_plan_async`).  An op is applied only after every op
+        its ``after`` names succeeded; one whose prerequisite failed is never
+        applied and comes back with an error.  Exceptions are captured per
+        op, never raised, so callers can fail exactly the waiter whose op
+        failed.
         """
         raise NotImplementedError(f"{type(self).__name__} does not execute storage-op groups")
 
-    def _stage_ops(self, stage: "IOStage") -> list[StorageOp]:
+    def _stage_ops(self, stage: "IOStage", after: tuple[int, ...]) -> list[StorageOp]:
         """Descriptor form of :meth:`_stage_groups`: one ``StorageOp`` per group."""
         ops: list[StorageOp] = []
         for group in self._plan_put_groups(stage.puts):
             keys = tuple(group)
             ops.append(
-                StorageOp(op="multi_put" if len(keys) > 1 else "put", keys=keys, items=dict(group))
+                StorageOp(
+                    op="multi_put" if len(keys) > 1 else "put",
+                    keys=keys,
+                    items=dict(group),
+                    after=after,
+                )
             )
         for key_group in self._plan_get_groups(stage.gets):
             ops.append(
                 StorageOp(
-                    op="multi_get" if len(key_group) > 1 else "get", keys=tuple(key_group)
+                    op="multi_get" if len(key_group) > 1 else "get",
+                    keys=tuple(key_group),
+                    after=after,
                 )
             )
         if stage.deletes:
-            ops.append(StorageOp(op="multi_delete", keys=tuple(stage.deletes)))
+            ops.append(StorageOp(op="multi_delete", keys=tuple(stage.deletes), after=after))
         return ops
 
-    async def _execute_stage_batched(
-        self, stage: "IOStage", stage_id: int
-    ) -> list[tuple[dict[str, bytes | None] | None, CostLedger]]:
-        """Run one plan stage through :meth:`execute_group_async`.
+    async def _execute_plan_as_group(
+        self, plan: "IOPlan"
+    ) -> list[list[tuple[dict[str, bytes | None] | None, CostLedger]]]:
+        """Run a whole plan as one :meth:`execute_group_async` call.
 
-        The whole stage travels as one op group (for a remote engine: one
-        wire frame), so the stage barrier is still a barrier — the next
-        stage's ops are only built after every result of this one returned.
+        For a remote engine that is one wire frame for the whole plan.  The
+        stage barriers travel with it: each op of stage ``k`` is ``after``
+        every op of the last non-empty stage before it, so the executor
+        applies the stages in order and never applies one whose predecessor
+        failed.  Returns per-stage outcomes in :meth:`_collect_stage`'s shape.
         """
-        ledger = CostLedger()
-        ledger._current_stage = stage_id
-        ops = self._stage_ops(stage)
+        ops: list[StorageOp] = []
+        bounds: list[tuple[int, int]] = []
+        after: tuple[int, ...] = ()
+        for stage in plan.stages:
+            start = len(ops)
+            ops.extend(self._stage_ops(stage, after))
+            bounds.append((start, len(ops)))
+            if len(ops) > start:
+                after = tuple(range(start, len(ops)))
         if not ops:
-            return []
+            return [[] for _ in bounds]
+        ledger = CostLedger()
         with self.metered(ledger):
             results = await self.execute_group_async(ops)
-        values: dict[str, bytes | None] = {}
+        # The lowest-indexed failure is a root cause: an op failed for a
+        # prerequisite names one with a lower index.
         for op_result in results:
             if op_result.error is not None:
                 raise op_result.error
-            if op_result.values:
-                values.update(op_result.values)
-        return [(values or None, ledger)]
+        # Every op succeeded, and the engine charged each one once, in op
+        # order: hand each stage its own entries under its own stage tag.
+        entries = iter(ledger.entries)
+        outcomes: list[list[tuple[dict[str, bytes | None] | None, CostLedger]]] = []
+        for start, end in bounds:
+            stage_ledger = CostLedger()
+            stage_id = next(_stage_ids)
+            for entry in itertools.islice(entries, end - start):
+                entry.stage = stage_id
+                stage_ledger.entries.append(entry)
+            values: dict[str, bytes | None] = {}
+            for op_result in results[start:end]:
+                if op_result.values:
+                    values.update(op_result.values)
+            outcomes.append([(values or None, stage_ledger)])
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # IO-plan execution (the batched parallel-IO pipeline)
@@ -447,8 +487,10 @@ class StorageEngine(ABC):
         awaited ``*_async`` op.  How a stage's groups are *issued* follows
         from what the engine declares:
 
-        * ``supports_storage_batches``: the whole stage ships as one op group
-          (:meth:`execute_group_async`).
+        * ``supports_storage_batches``: the whole plan ships as one op group
+          (:meth:`execute_group_async`), each stage's ops ``after`` the
+          previous stage's, so the engine (for a remote engine, the storage
+          service the frame lands on) keeps the stages in order.
         * ``wall_clock_io``: the group coroutines are gathered on the event
           loop, at most :attr:`effective_io_concurrency` in flight at once.
         * otherwise (metered engines, the simulated backends): the group
@@ -462,10 +504,14 @@ class StorageEngine(ABC):
           stage plus the sum across stages.
 
         Stages are barriers in every mode — no group of stage ``i+1`` is
-        issued until every group of stage ``i`` completed — which is how the
-        commit plan preserves the paper's data-before-commit-record write
-        ordering (Section 3.3), and why a caller cancelled mid-stage never
-        gets a later stage issued on its behalf.
+        applied until every group of stage ``i`` succeeded — which is how
+        the commit plan preserves the paper's data-before-commit-record write
+        ordering (Section 3.3).  In the per-stage modes a later stage is only
+        issued after the earlier one returned, so a caller cancelled
+        mid-stage never gets a later stage issued on its behalf.  A grouped
+        plan has left once it is submitted: cancelling the caller no longer
+        recalls its later stages, which still land in order (a commit record
+        still lands only after its data).
         """
         from repro.core.io_plan import PlanResult
 
@@ -481,16 +527,17 @@ class StorageEngine(ABC):
                 stages=",".join(s.name for s in plan.stages),
                 n_ops=plan.operation_count,
             ):
-                for stage in plan.stages:
-                    stage_id = next(_stage_ids)
-                    if self.supports_storage_batches:
-                        outcomes = await self._execute_stage_batched(stage, stage_id)
-                    else:
+                if self.supports_storage_batches:
+                    for outcomes in await self._execute_plan_as_group(plan):
+                        self._collect_stage(outcomes, inner, result)
+                else:
+                    for stage in plan.stages:
+                        stage_id = next(_stage_ids)
                         groups = self._stage_groups(stage)
                         outcomes = await self.fan_out(
                             [functools.partial(self._run_group, group, stage_id) for group in groups]
                         )
-                    self._collect_stage(outcomes, inner, result)
+                        self._collect_stage(outcomes, inner, result)
         finally:
             # Surface the charges of completed groups even when cancelled
             # mid-plan, so callers can still account for the work that ran.

@@ -13,8 +13,11 @@ acceptance bar from the paper's perspective:
   failed, a standby is promoted, and the old node's late commit-record
   write is rejected by its stale epoch token;
 * every storage op a node issues, a single delete included, rides a
-  ``storage_batch`` frame;
-* a commit whose publish fails stays queued and reaches the peers later;
+  ``storage_batch`` frame, and a commit is one such frame: the router
+  applies its record only after its data, and fans the landed record out
+  to the peers before it replies;
+* the node bounds its per-transaction state: finished transactions are
+  forgotten and abandoned ones expire;
 * the router serves storage as coroutines on its own loop: a slow engine
   neither stalls the loop nor serializes concurrent sessions.
 """
@@ -22,20 +25,33 @@ acceptance bar from the paper's perspective:
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
+import types
+from dataclasses import replace
 
 import pytest
 
+from repro.config import AftConfig
 from repro.consistency.checker import AnomalyChecker, TransactionLog
 from repro.consistency.metadata import TaggedValue
-from repro.errors import FencedNodeError, UnknownTransactionError
+from repro.core.commit_set import CommitRecord
+from repro.errors import (
+    AftError,
+    FencedNodeError,
+    StorageError,
+    TransactionAbortedError,
+    UnknownTransactionError,
+)
 from repro.ids import TransactionId
 from repro.rpc import messages as m
+from repro.rpc import storage_client
 from repro.rpc.client import AsyncRouterClient
-from repro.rpc.framing import RpcError, connect
+from repro.rpc.framing import connect
 from repro.rpc.node_server import NodeServer
-from repro.rpc.router import RouterServer
-from repro.storage.base import StorageEngine, StorageOp
+from repro.rpc.router import RouterServer, _dependency_waves
+from repro.rpc.storage_client import RemoteStorage
+from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
 from repro.storage.latency import ConstantLatency
 from repro.storage.latency_injected import LatencyInjectedStorage
 from repro.storage.memory import InMemoryStorage
@@ -51,7 +67,9 @@ class SocketCluster:
         lease_duration: float = 0.6,
         heartbeat_interval: float = 0.1,
         storage: StorageEngine | None = None,
+        config: AftConfig | None = None,
     ) -> None:
+        self.config = config
         self.router = RouterServer(
             port=0,
             storage=storage,
@@ -67,7 +85,7 @@ class SocketCluster:
     async def __aenter__(self) -> "SocketCluster":
         await self.router.start()
         for i in range(self.n_nodes):
-            node = NodeServer(f"n{i}", router_port=self.router.port)
+            node = NodeServer(f"n{i}", router_port=self.router.port, config=self.config)
             await node.start()
             self.nodes.append(node)
         for i in range(self.n_standbys):
@@ -312,53 +330,240 @@ class TestNodeBackgroundLoops:
 
         asyncio.run(scenario())
 
-    def test_publishing_survives_one_failed_publish(self, monkeypatch):
-        real_publish = NodeServer._publish_now
-        calls = 0
-
-        async def flaky_publish(server):
-            nonlocal calls
-            calls += 1
-            if calls == 1:
-                raise RuntimeError("transient publish failure")
-            await real_publish(server)
-
-        monkeypatch.setattr(NodeServer, "_publish_now", flaky_publish)
-
+    def test_finished_transactions_are_forgotten(self):
         async def scenario():
-            async with SocketCluster(n_nodes=1):
-                deadline = time.monotonic() + 2.0
-                while calls < 3:
-                    assert time.monotonic() < deadline, "publish loop stopped"
-                    await asyncio.sleep(0.02)
+            async with SocketCluster(n_nodes=1, heartbeat_interval=0.1) as cluster:
+                client = cluster.client
+                for i in range(100):
+                    tx = await client.start_transaction()
+                    await client.put(tx, f"churn:{i % 8}", b"v")
+                    await client.commit_transaction(tx)
+                await asyncio.sleep(0.25)
+                assert len(cluster.nodes[0].node._transactions) <= 3
 
         asyncio.run(scenario())
 
-    def test_failed_publish_keeps_its_records_for_the_next_one(self):
+    def test_abandoned_transaction_expires(self):
+        async def scenario():
+            config = AftConfig().with_overrides(transaction_timeout=0.2)
+            async with SocketCluster(n_nodes=1, heartbeat_interval=0.1, config=config) as cluster:
+                client = cluster.client
+                node = cluster.nodes[0].node
+                tx = await client.start_transaction()
+                await client.put(tx, "abandoned", b"v")
+                deadline = time.monotonic() + 2.0
+                while node.stats.transactions_aborted < 1:
+                    assert time.monotonic() < deadline, "the idle transaction never expired"
+                    await asyncio.sleep(0.02)
+                with pytest.raises((UnknownTransactionError, TransactionAbortedError)):
+                    await client.commit_transaction(tx)
+                check = await client.start_transaction()
+                assert await client.get(check, "abandoned") is None
+
+        asyncio.run(scenario())
+
+
+def _record(server: NodeServer, key: str) -> tuple[str, CommitRecord]:
+    """A commit record stamped with ``server``'s live epoch, and its storage key."""
+    record = CommitRecord(
+        txid=TransactionId(timestamp=time.time(), uuid=f"direct-{key}"),
+        write_set={key: f"data:{key}"},
+        committed_at=time.time(),
+        node_id=server.node_id,
+        epoch=server.node.fence_token.epoch,
+    )
+    return server.node.commit_store.record_storage_key(record.txid), record
+
+
+def _delivered(servers: list[NodeServer]) -> list[float]:
+    return [server.metrics.counter("commits_delivered").value for server in servers]
+
+
+class _RejectingStorage(InMemoryStorage):
+    """Shared storage that refuses writes to one key."""
+
+    def __init__(self, doomed: str) -> None:
+        super().__init__()
+        self.doomed = doomed
+
+    async def put_async(self, key: str, value: bytes) -> None:
+        if key == self.doomed:
+            raise StorageError(f"write to {key!r} refused")
+        await super().put_async(key, value)
+
+
+class TestCommitFanOut:
+    def test_a_commit_is_one_storage_round_trip(self):
+        async def scenario():
+            async with SocketCluster(n_nodes=1) as cluster:
+                server = cluster.nodes[0]
+                client = cluster.client
+                tx = await client.start_transaction()
+                await client.put_many(tx, {"one:a": b"1", "one:b": b"2"})
+                sent: list[type] = []
+                real_request = server.conn.request
+
+                async def recording_request(message, *args, **kwargs):
+                    sent.append(type(message))
+                    return await real_request(message, *args, **kwargs)
+
+                server.conn.request = recording_request
+                batches = cluster.router.metrics.counter("storage_batches")
+                before = batches.value
+                await client.commit_transaction(tx)
+                assert batches.value == before + 1
+                assert sent == [m.StorageBatch]
+
+        asyncio.run(scenario())
+
+    def test_record_after_a_failed_data_op_is_never_written(self):
+        async def scenario():
+            async with SocketCluster(
+                n_nodes=2, storage=_RejectingStorage("data:doomed")
+            ) as cluster:
+                record_key, record = _record(cluster.nodes[0], "doomed")
+                delivered = _delivered(cluster.nodes)
+                published = cluster.router.metrics.counter("commit_records_published").value
+                conn = await connect("127.0.0.1", cluster.router.port, name="raw-storage")
+                try:
+                    batch = m.encode_storage_ops(
+                        [
+                            StorageOp(op="put", keys=("data:doomed",), items={"data:doomed": b"x"}),
+                            StorageOp(
+                                op="put",
+                                keys=(record_key,),
+                                items={record_key: record.to_bytes()},
+                                after=(0,),
+                            ),
+                        ]
+                    )
+                    results = m.decode_storage_results(await conn.request(batch, timeout=5.0))
+                finally:
+                    await conn.close()
+                assert isinstance(results[0].error, StorageError)
+                assert isinstance(results[1].error, StorageError)
+                assert await cluster.router.storage.get_async(record_key) is None
+                await asyncio.sleep(0.05)
+                assert _delivered(cluster.nodes) == delivered
+                assert (
+                    cluster.router.metrics.counter("commit_records_published").value == published
+                )
+
+        asyncio.run(scenario())
+
+    def test_a_landed_record_reaches_the_peers_without_a_publish(self):
         async def scenario():
             async with SocketCluster(n_nodes=2) as cluster:
                 n0, n1 = cluster.nodes
-                real_request = n0.conn.request
-                failed: list[m.PublishCommits] = []
-
-                async def flaky_request(message, *args, **kwargs):
-                    if isinstance(message, m.PublishCommits) and not failed:
-                        failed.append(message)
-                        raise RpcError("transient publish failure")
-                    return await real_request(message, *args, **kwargs)
-
-                n0.conn.request = flaky_request
-                client = cluster.client
-                for node_id in ("n0", "n1"):
-                    tx = await client.start_transaction()
-                    assert cluster.router._routes[tx].node_id == node_id
-                    await client.put(tx, f"key-{node_id}", b"v")
-                    await client.commit_transaction(tx)
-                assert failed, "n0 never tried to publish"
+                record_key, record = _record(n0, "direct")
+                await n0.storage.put_async(record_key, record.to_bytes())
                 deadline = time.monotonic() + 2.0
-                while n1.node.stats.remote_commits_applied < 1:
-                    assert time.monotonic() < deadline, "n0's commit never reached n1"
+                while n1.node.metadata_cache.get(record.txid) is None:
+                    assert time.monotonic() < deadline, "the record never reached n1"
                     await asyncio.sleep(0.02)
+                # The writer is skipped: it already knows its own commits.
+                assert n0.node.metadata_cache.get(record.txid) is None
+
+        asyncio.run(scenario())
+
+    def test_fenced_commit_frame_delivers_nothing(self):
+        async def scenario():
+            async with SocketCluster(n_nodes=2) as cluster:
+                n0, n1 = cluster.nodes
+                victim = n0.node
+                txid = victim.start_transaction()
+                await victim.put_async(txid, "fenced-key", b"late")
+                cluster.router.fence.revoke("n0")
+                delivered = _delivered([n1])
+                batches = cluster.router.metrics.counter("storage_batches")
+                before = batches.value
+                with pytest.raises(FencedNodeError):
+                    await victim.commit_transaction_async(txid)
+                assert batches.value == before + 1
+                await asyncio.sleep(0.05)
+                assert _delivered([n1]) == delivered
+                tx = await cluster.client.start_transaction()
+                assert await cluster.client.get(tx, "fenced-key") is None
+
+        asyncio.run(scenario())
+
+    def test_a_failed_delivery_is_logged_and_the_commit_still_acks(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.rpc.router")
+
+        async def scenario():
+            async with SocketCluster(n_nodes=2) as cluster:
+
+                async def broken_notify(message):
+                    raise RuntimeError("peer link down")
+
+                cluster.router._sessions["n1"].conn.notify = broken_notify
+                failures = cluster.router.metrics.counter("deliver_failures")
+                before = failures.value
+                client = cluster.client
+                tx = await client.start_transaction()
+                assert cluster.router._routes[tx].node_id == "n0"
+                await client.put(tx, "lonely", b"v")
+                assert await client.commit_transaction(tx)
+                assert failures.value == before + 1
+
+        asyncio.run(scenario())
+        warnings = [r for r in caplog.records if r.name == "repro.rpc.router"]
+        assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+
+
+class _RecordingConn:
+    """Connection stand-in: records each storage frame, every op succeeds."""
+
+    def __init__(self) -> None:
+        self.frames: list[list[StorageOp]] = []
+        self.stats = types.SimpleNamespace(batched_ops_sent=0)
+
+    async def request(self, batch, timeout=None):
+        ops = m.decode_storage_ops(batch)
+        self.frames.append(ops)
+        return m.encode_storage_results([StorageOpResult() for _ in ops])
+
+
+class TestOpGroups:
+    def test_dependency_waves_follow_the_links(self):
+        get, put = StorageOp(op="get", keys=("k",)), StorageOp(op="put", keys=("k",), items={"k": b""})
+        ops = [get, replace(put, after=(0,)), get, replace(put, after=(1, 2))]
+        assert _dependency_waves(ops) == [[0, 2], [1], [3]]
+        with pytest.raises(AftError):
+            _dependency_waves([replace(get, after=(0,))])
+
+    def test_a_group_rides_one_frame_with_its_links_shifted(self):
+        async def scenario():
+            conn = _RecordingConn()
+            storage = RemoteStorage(conn, loop=asyncio.get_running_loop())
+            data = StorageOp(op="put", keys=("d",), items={"d": b"x"})
+            record = StorageOp(op="put", keys=("r",), items={"r": b"y"}, after=(0,))
+            await asyncio.gather(
+                storage.get_async("k"), storage.execute_group_async([data, record])
+            )
+            assert conn.frames == [
+                [StorageOp(op="get", keys=("k",)), data, replace(record, after=(1,))]
+            ]
+
+        asyncio.run(scenario())
+
+    def test_a_group_is_never_split_across_frames(self, monkeypatch):
+        monkeypatch.setattr(storage_client, "COALESCE_MAX_OPS", 4)
+
+        async def scenario():
+            conn = _RecordingConn()
+            storage = RemoteStorage(conn, loop=asyncio.get_running_loop())
+            group = [StorageOp(op="get", keys=(f"g{i}",), after=(i - 1,) if i else ()) for i in range(2)]
+            big = [StorageOp(op="get", keys=(f"b{i}",)) for i in range(6)]
+            await asyncio.gather(
+                *(storage.get_async(f"s{i}") for i in range(3)),
+                storage.execute_group_async(group),
+                storage.execute_group_async(big),
+            )
+            # The group would overflow the open frame, so it starts a new
+            # one; the over-cap group travels alone.
+            assert [len(frame) for frame in conn.frames] == [3, 2, 6]
+            assert conn.frames[1] == group
 
         asyncio.run(scenario())
 

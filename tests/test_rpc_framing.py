@@ -175,7 +175,7 @@ class TestStorageOpBatchCodec:
         ops = [
             StorageOp(op="multi_put", keys=("a", "b"), items={"a": b"1", "b": b"22"}),
             StorageOp(op="get", keys=("c",)),
-            StorageOp(op="multi_delete", keys=("d", "e")),
+            StorageOp(op="multi_delete", keys=("d", "e"), after=(0, 1)),
             StorageOp(op="list", prefix="aft.commit"),
         ]
         back = m.decode_storage_ops(m.encode_storage_ops(ops))

@@ -29,7 +29,6 @@ SAMPLES = [
     m.Heartbeat(node_id="n0"),
     m.Activate(node_id="s0", epoch=9),
     m.Ok(),
-    m.PublishCommits(node_id="n1", records=[b"abc"]),
     m.DeliverCommits(records=[b"abc", b"def"]),
     m.StorageBatch(
         ops=[{"op": "put", "keys": ["k"], "v": [0]}, {"op": "get", "keys": ["a"]}],
