@@ -61,13 +61,14 @@ async def execute_commit_plan_async(
     The single place that encodes the invariant for the pipelined path —
     used by both the per-transaction commit and the group-commit flush.  When
     data and records share an engine, one two-stage plan carries the ordering
-    in its stage barrier (stage two is only applied after every group of
-    stage one succeeded); with a separate metadata engine the sequential
+    in its stage barrier (no record op runs unless every data op of stage
+    one succeeded); with a separate metadata engine the sequential
     awaits do.  Cancellation between the stages leaves data durable but no
     commit record — invisible garbage for the GC, never a fractured read.
-    An engine that ships the whole plan as one request
-    (``supports_storage_batches``) cannot be recalled once it has sent it:
-    the record then lands after its data regardless of the caller.
+    A remote engine ships the whole plan as one request
+    (``RemoteStorage.execute_group_async``) and cannot recall it once it
+    has sent it: the record then lands after its data regardless of the
+    caller.
     """
     if commit_store.engine is storage:
         await storage.execute_plan_async(IOPlan.commit(data, records))

@@ -15,11 +15,12 @@ shape: no commit record is written until all data it references is durable.
 
 Plans are *executed* by
 :meth:`repro.storage.base.StorageEngine.execute_plan_async` (``execute_plan``
-drives it for sync callers), which maps each stage onto the backend's
+drives it for sync callers).  It maps each stage onto the backend's
 capabilities (native batching on DynamoDB and the in-memory engine, per-shard
-MSET/MGET on Redis, plain request fan-out on S3) and charges the attached
-:class:`~repro.storage.base.CostLedger` with *per-stage* parallel latency
-rather than per-operation sequential latency.
+MSET/MGET on Redis, plain request fan-out on S3) as storage ops, links each
+stage's ops ``after`` the previous stage's, and runs the plan as one op
+group.  The attached :class:`~repro.storage.base.CostLedger` is charged
+*per-stage* parallel latency rather than per-operation sequential latency.
 """
 
 from __future__ import annotations
@@ -158,19 +159,11 @@ class IOPlan:
 
 @dataclass
 class PlanResult:
-    """Outcome of executing one :class:`IOPlan`.
+    """Outcome of executing one :class:`IOPlan`: the value of every GET.
 
-    ``values`` holds the results of every GET in the plan; ``stage_latencies``
-    the metered parallel latency of each executed stage (in plan order), so
-    callers can reason about where the time went without re-deriving it from
-    ledger entries.
+    Where the time went is on the attached
+    :class:`~repro.storage.base.CostLedger`, one plan stage per non-empty
+    stage.
     """
 
     values: dict[str, bytes | None] = field(default_factory=dict)
-    stage_latencies: list[float] = field(default_factory=list)
-    requests_issued: int = 0
-
-    @property
-    def total_latency(self) -> float:
-        """Latency of the plan: stages are sequential, ops within are not."""
-        return sum(self.stage_latencies)

@@ -635,11 +635,11 @@ class AftNode:
         :class:`~repro.core.group_commit.GroupCommitter`.  If the caller is
         cancelled (a client timeout) mid-persist, the transaction is either
         not committed — its spilled/partial data is unreferenced garbage for
-        the GC — or, once an engine that ships the whole plan in one request
-        (``supports_storage_batches``, the socket runtime) has sent it,
-        committed without this node finalizing it: the record still lands
-        only after the data, and the router fans it out to the other nodes.
-        Never a fractured read either way.
+        the GC — or, once a remote engine (the socket runtime) has shipped
+        the whole plan in one request, committed without this node
+        finalizing it: the record still lands only after the data, and the
+        router fans it out to the other nodes.  Never a fractured read
+        either way.
         """
         self._require_running()
         # Prepare is in-memory bookkeeping; only the persist round trip gets

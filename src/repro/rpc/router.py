@@ -14,8 +14,10 @@ paper's deployment (Section 4):
   writes — exactly the §3.3 write-ordering failure mode AFT tolerates:
   durable but unreferenced data, garbage, never a visible commit.  The
   §3.3 order itself is enforced here too: a frame's ops run in dependency
-  waves (``StorageOp.after``), so a node's commit plan — data, then record
-  — is one frame, and a record whose data failed is never written.
+  waves (``StorageOp.after``) through the same wave executor every engine
+  uses (:func:`~repro.storage.base.run_op_group`), so a node's commit plan
+  — data, then record — is one frame, and a record whose data failed is
+  never written.
 * **Lease membership.**  Nodes renew leases with heartbeat frames; a lease
   expiring marks the node failed, revokes its fencing token, removes it
   from client routing, and promotes a standby (fresh token, ``activate``
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import functools
 import logging
 import sys
 import time
@@ -50,14 +51,14 @@ from repro.config import ObservabilityConfig
 from repro.core.commit_set import CommitRecord
 from repro.core.metadata_plane.fencing import EpochFence
 from repro.core.metadata_plane.keyspace import PARTITIONED_PREFIX
-from repro.errors import AftError, NoAvailableNodeError, StorageError, UnknownTransactionError
+from repro.errors import AftError, NoAvailableNodeError, UnknownTransactionError
 from repro.ids import COMMIT_PREFIX, KEY_SEPARATOR
 from repro.observability import metrics as om
 from repro.observability import trace as tr
 from repro.observability.sink import ObservabilitySink
 from repro.rpc import messages as m
 from repro.rpc.framing import RpcConnection, pin_malloc_thresholds
-from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
+from repro.storage.base import StorageEngine, StorageOp, StorageOpResult, run_op_group
 from repro.storage.memory import InMemoryStorage
 
 _COMMIT_KEY_PREFIXES = (COMMIT_PREFIX + KEY_SEPARATOR, PARTITIONED_PREFIX + ".")
@@ -391,57 +392,33 @@ class RouterServer:
 
         The one per-op apply: every op of every ``storage_batch`` frame lands
         here, so no path bypasses the fencing gate.  A failed op comes back as
-        its result's ``error``, failing only its own waiter.  The fence check
-        and the write it guards share this coroutine on the loop that also
-        runs ``fence.grant`` / ``revoke``: over a metered engine
-        ``put_async`` never suspends, so check-then-write is one
+        its result's ``error``, failing only its own waiter.  The whole op is
+        validated before any of it is written: an op with one fenced record
+        writes nothing (the group-commit flush relies on this all-or-nothing
+        shape).  The fence check and the write share this coroutine on the
+        loop that also runs ``fence.grant`` / ``revoke``, with no ``await``
+        between them, so over a metered engine check-then-write is one
         uninterrupted step.
         """
-        storage = self.storage
-        try:
-            if op.op == "get":
-                key = op.keys[0]
-                return StorageOpResult(values={key: await storage.get_async(key)})
-            if op.op == "multi_get":
-                return StorageOpResult(values=await storage.multi_get_async(list(op.keys)))
-            if op.op in ("put", "multi_put"):
-                items = dict(op.items or {})
-                # Validate the whole op before writing any of it: an op with
-                # one fenced record writes nothing (the group-commit flush
-                # relies on this all-or-nothing shape).
-                for key, value in items.items():
+        if op.items:
+            try:
+                for key, value in op.items.items():
                     self._check_put_fence(key, value)
-                if op.op == "put":
-                    for key, value in items.items():
-                        await storage.put_async(key, value)
-                else:
-                    await storage.multi_put_async(items)
-                return StorageOpResult()
-            if op.op == "delete":
-                for key in op.keys:
-                    await storage.delete_async(key)
-                return StorageOpResult()
-            if op.op == "multi_delete":
-                await storage.multi_delete_async(list(op.keys))
-                return StorageOpResult()
-            if op.op == "list":
-                return StorageOpResult(keys=await storage.list_keys_async(prefix=op.prefix))
-            raise AftError(f"unknown storage op {op.op!r}")
-        except Exception as exc:
-            return StorageOpResult(error=exc)
+            except Exception as exc:
+                return StorageOpResult(error=exc)
+        return await self.storage.apply_op(op)
 
     async def _handle_storage_batch(
         self, conn: RpcConnection, msg: m.StorageBatch
     ) -> m.StorageBatchResult:
         """Execute one batched op group, one reply frame, errors per op.
 
-        The ops run in dependency waves: a wave holds every op whose
-        ``after`` prerequisites all ran in earlier waves, and an op with a
-        failed prerequisite gets an error result and never touches storage — §3.3's data-before-record order, enforced where
-        the writes land.  Each wave is issued the way ``execute_plan_async``
-        issues a stage (:meth:`StorageEngine.fan_out`): awaited in order over
-        a metered engine, gathered on this loop under
-        ``effective_io_concurrency`` over a wall-clock engine.
+        The frame runs through :func:`~repro.storage.base.run_op_group`, the
+        wave executor every engine's ``execute_group_async`` uses: each
+        dependency wave is issued through the engine's ``fan_out``, and an
+        op with a failed prerequisite never touches storage — §3.3's
+        data-before-record order, enforced where the writes land.  Ops of
+        one wave are independent: one failing does not stop the others.
 
         Every commit record the frame landed goes to the other serving nodes
         in one ``deliver_commits`` *before* the reply, so by the time the
@@ -453,21 +430,7 @@ class RouterServer:
         self.metrics.counter("storage_ops").inc(len(ops))
         self.metrics.counter("storage_batches").inc()
         with tr.span("router.storage_batch", parent=msg.trace, n_ops=len(ops)):
-            results: list[StorageOpResult | None] = [None] * len(ops)
-            for wave in _dependency_waves(ops):
-                ready = []
-                for index in wave:
-                    if any(results[dep].error is not None for dep in ops[index].after):
-                        results[index] = StorageOpResult(
-                            error=StorageError(f"storage op {index} skipped: a prerequisite failed")
-                        )
-                    else:
-                        ready.append(index)
-                landed = await self.storage.fan_out(
-                    [functools.partial(self._handle_storage, ops[index]) for index in ready]
-                )
-                for index, result in zip(ready, landed):
-                    results[index] = result
+            results = await run_op_group(ops, self._handle_storage, self.storage.fan_out)
             records = [
                 value
                 for op, result in zip(ops, results)
@@ -481,21 +444,6 @@ class RouterServer:
                 with tr.span("router.publish_fanout", n_records=len(records)):
                     await self._fan_out(conn, records)
             return m.encode_storage_results(results)
-
-
-def _dependency_waves(ops: list[StorageOp]) -> list[list[int]]:
-    """Op indexes grouped by ``after`` depth: wave ``k`` depends only on
-    waves before it.  A link must name an earlier op of the frame; a frame
-    with any other link is refused whole."""
-    depth: list[int] = []
-    for index, op in enumerate(ops):
-        if not all(0 <= dep < index for dep in op.after):
-            raise AftError(f"storage op {index} links to {list(op.after)}, not to earlier ops")
-        depth.append(1 + max((depth[dep] for dep in op.after), default=-1))
-    waves: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
-    for index, level in enumerate(depth):
-        waves[level].append(index)
-    return waves
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -7,12 +7,15 @@ coroutine that awaits its socket round trip, and the engine declares
 
 Every op travels as one op of a ``storage_batch`` frame.  Ops go through a
 cross-transaction :class:`_OpCoalescer`: the ops submitted within one
-event-loop tick (or a configurable window) share a frame, so a whole IO
-plan crosses the wire as one round trip (``supports_storage_batches``; its
+event-loop tick (or a configurable window) share a frame.  An IO plan is
+one op group (``StorageEngine.execute_plan_async``), and this engine's
+``execute_group_async`` — the one override of the base wave executor —
+ships the group whole, so a plan crosses the wire as one round trip.  Its
 stage barriers ride along as ``StorageOp.after`` links, which the router
-honours) and independent single ops from *concurrent* transactions share
-frames when they happen to meet.  Per-op errors come back as data, so a
-fenced commit-record write fails exactly its own waiter.
+runs through the same wave executor.  Independent single ops from
+*concurrent* transactions share frames when they happen to meet.  Per-op
+errors come back as data, so a fenced commit-record write fails exactly its
+own waiter.
 
 Once a frame has left, cancelling a waiter does not recall its ops: a
 commit whose caller is cancelled after the flush still lands, data first
@@ -24,7 +27,8 @@ Accounting rule: the layer that returns to the caller does the stats and
 latency accounting — the single-op coroutines account for themselves, the
 batched ``execute_group_async`` accounts per op for the plan path, and the
 coalescer never accounts.  Nothing is double-counted whichever path an op
-takes.
+takes.  The charges land on the attached ledger directly, without plan-stage
+tags: no per-op ledger on the socket path.
 
 Code on the connection's loop (the node server, ``AftNode.bootstrap_async``)
 awaits the ``*_async`` coroutines.  The base class's sync names (``get``,
@@ -147,7 +151,6 @@ class RemoteStorage(StorageEngine):
     wall_clock_io = True
     supports_batch_writes = True
     supports_batch_reads = True
-    supports_storage_batches = True
 
     def __init__(
         self,
@@ -225,6 +228,9 @@ class RemoteStorage(StorageEngine):
     # Storage-op groups: one wire frame per IO plan (plus stowaways)
     # ------------------------------------------------------------------ #
     async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
+        """Ship the whole group as one ``storage_batch``; the router runs its
+        waves.  Once the frame has left, cancelling the caller does not
+        recall the group's later waves."""
         results = list(await asyncio.gather(*self._coalescer.submit_many(ops)))
         for op, result in zip(ops, results):
             if result.error is None:

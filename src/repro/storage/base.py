@@ -23,10 +23,11 @@ import threading
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Coroutine, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Coroutine, Iterable, Iterator, Mapping
 
 from repro import runtime
 from repro.clock import Clock, SystemClock
+from repro.errors import StorageError
 from repro.observability import trace as tr
 from repro.storage.latency import LatencyModel, ZeroLatency
 
@@ -37,10 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports storage
 #: different ledgers never collapse into one stage by accident.
 _stage_ids = itertools.count(1)
 
-#: One request group of a plan stage: a thunk returning the coroutine that
-#: issues it (a thunk, so a group skipped after an earlier failure is never
-#: created and left un-awaited).
-_Group = Callable[[], Coroutine[Any, Any, "dict[str, bytes | None] | None"]]
+#: One request handed to :meth:`StorageEngine.fan_out`: a thunk returning the
+#: coroutine that issues it (a thunk, so a request that is never issued is
+#: never created and left un-awaited).
+_Request = Callable[[], Coroutine[Any, Any, Any]]
 
 
 @dataclass
@@ -182,20 +183,19 @@ class StorageStats:
 class StorageOp:
     """One storage operation in engine-neutral descriptor form.
 
-    The unit of :meth:`StorageEngine.execute_group_async`: a request group
-    (one batched or point request) described as data rather than as a bound
-    thunk, so engines that talk to a *remote* storage service can ship a
-    whole group of ops over the wire in one frame instead of one round trip
-    per op.  ``op`` is one of ``get`` / ``multi_get`` / ``put`` /
-    ``multi_put`` / ``delete`` / ``multi_delete`` / ``list``; ``items``
-    carries the values for writes (keyed exactly by ``keys``); ``prefix`` is
-    only meaningful for ``list``.
+    The unit of an op group (:meth:`StorageEngine.execute_group_async`):
+    one batched or point storage request, described as data, so an IO plan
+    runs the same way in process and over the wire — a remote engine ships
+    the whole group in one frame.  ``op`` is one of ``get`` / ``multi_get``
+    / ``put`` / ``multi_put`` / ``delete`` / ``multi_delete`` / ``list``;
+    ``items`` carries the values for writes (keyed exactly by ``keys``);
+    ``prefix`` is only meaningful for ``list``.  :meth:`StorageEngine.apply_op`
+    is the one dispatcher that applies it.
 
     ``after`` lists the indexes of earlier ops *in the same group* that must
     all succeed before this op is applied: an IO-plan stage barrier carried
-    as data, so a group can hold several stages and the executor still
-    applies them in order (and never applies an op whose prerequisite
-    failed).
+    as data.  :func:`run_op_group` runs a group in dependency waves, so the
+    stages apply in order and an op whose prerequisite failed never runs.
     """
 
     op: str
@@ -217,6 +217,55 @@ class StorageOpResult:
     values: dict[str, bytes | None] | None = None
     keys: list[str] | None = None
     error: Exception | None = None
+
+
+def dependency_waves(ops: list[StorageOp]) -> list[list[int]]:
+    """Op indexes grouped by ``after`` depth: wave ``k`` depends only on
+    waves before it.  A link must name an earlier op of the group; a group
+    with any other link is refused whole."""
+    depth: list[int] = []
+    for index, op in enumerate(ops):
+        if not all(0 <= dep < index for dep in op.after):
+            raise StorageError(f"storage op {index} links to {list(op.after)}, not to earlier ops")
+        depth.append(1 + max((depth[dep] for dep in op.after), default=-1))
+    waves: list[list[int]] = [[] for _ in range(max(depth, default=-1) + 1)]
+    for index, level in enumerate(depth):
+        waves[level].append(index)
+    return waves
+
+
+async def run_op_group(
+    ops: list[StorageOp],
+    apply: Callable[[StorageOp], Awaitable[StorageOpResult]],
+    fan_out: Callable[[list[_Request]], Awaitable[list[Any]]],
+) -> list[StorageOpResult]:
+    """Run an op group in dependency waves; one result per op, in order.
+
+    The one wave executor, shared by every engine's
+    :meth:`StorageEngine.execute_group_async` and the router's storage
+    service.  Each wave (:func:`dependency_waves`) is issued through
+    ``fan_out`` and finishes before the next starts.  ``apply`` must return
+    errors as data, never raise.
+
+    The failure rule: the ops of one wave are independent, so a failed op
+    does not stop the other ops of its wave; an op whose prerequisite
+    failed is never applied and gets an error result instead — so no op
+    ``after`` a failed one ever runs.
+    """
+    results: list[StorageOpResult | None] = [None] * len(ops)
+    for wave in dependency_waves(ops):
+        ready = []
+        for index in wave:
+            if any(results[dep].error is not None for dep in ops[index].after):
+                results[index] = StorageOpResult(
+                    error=StorageError(f"storage op {index} skipped: a prerequisite failed")
+                )
+            else:
+                ready.append(index)
+        landed = await fan_out([functools.partial(apply, ops[index]) for index in ready])
+        for index, result in zip(ready, landed):
+            results[index] = result
+    return results
 
 
 class StorageEngine(ABC):
@@ -246,20 +295,14 @@ class StorageEngine(ABC):
     #: Whether the engine's operations wait for *real* wall-clock time
     #: (network sockets, injected sleeps).  The simulated engines meter their
     #: latency instead of waiting, so they leave this False: their coroutines
-    #: never suspend, plan groups are awaited in order, and sync callers step
-    #: them inline.  Wall-clock engines get the gathered fan-out of
-    #: ``execute_plan_async`` and have their sync callers driven on an event
-    #: loop (:func:`repro.runtime.drive`).
+    #: never suspend, the ops of a wave are awaited in order, and sync
+    #: callers step them inline.  Wall-clock engines get the gathered
+    #: :meth:`fan_out` and have their sync callers driven on an event loop
+    #: (:func:`repro.runtime.drive`).
     wall_clock_io: bool = False
-    #: Whether the engine executes a whole request *group* as one unit when
-    #: handed a list of :class:`StorageOp` descriptors
-    #: (:meth:`execute_group_async`).  Remote engines remap the group onto a
-    #: single ``storage_batch`` wire frame; for everything else this flag
-    #: stays False.
-    supports_storage_batches: bool = False
-    #: Per-engine bound on concurrently issued request groups within one plan
-    #: stage.  ``None`` falls back to the shared runtime default; nodes set it
-    #: from :attr:`repro.config.AftConfig.io_concurrency`.
+    #: Per-engine bound on concurrently issued requests within one wave of
+    #: an op group.  ``None`` falls back to the shared runtime default;
+    #: nodes set it from :attr:`repro.config.AftConfig.io_concurrency`.
     io_concurrency: int | None = None
     #: Event loop the engine's connections are bound to.  ``None`` (every
     #: engine without sockets of its own) lets :func:`repro.runtime.drive`
@@ -274,8 +317,8 @@ class StorageEngine(ABC):
         #: committers each meter their own operations without cross-wiring
         #: each other's cost accounting.  A ContextVar rather than
         #: ``threading.local`` because the wall-clock plan path interleaves
-        #: many request groups as coroutines *on one loop thread* — asyncio
-        #: tasks copy the context at creation, so each group's ledger stays
+        #: a wave's ops as coroutines *on one loop thread* — asyncio
+        #: tasks copy the context at creation, so each op's ledger stays
         #: isolated; plain threads keep their per-thread contexts, preserving
         #: the old thread-local semantics exactly.
         self._ledger_slot: contextvars.ContextVar[CostLedger | None] = contextvars.ContextVar(
@@ -377,99 +420,107 @@ class StorageEngine(ABC):
         runtime.drive(self.multi_delete_async(keys), self)
 
     # ------------------------------------------------------------------ #
-    # Storage-op groups (descriptor form of a plan stage)
+    # Op groups: the one way storage work is executed
     # ------------------------------------------------------------------ #
-    async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
-        """Execute a group of ops as one request, one result per op, in order.
+    async def apply_op(self, op: StorageOp) -> StorageOpResult:
+        """Apply one :class:`StorageOp` to this engine; never raises.
 
-        Only engines declaring ``supports_storage_batches`` implement this
-        (everything else has its plan stages issued group by group, see
-        :meth:`execute_plan_async`).  An op is applied only after every op
-        its ``after`` names succeeded; one whose prerequisite failed is never
-        applied and comes back with an error.  Exceptions are captured per
-        op, never raised, so callers can fail exactly the waiter whose op
+        The one ``StorageOp`` dispatcher: an in-process op group and every
+        op of a router frame land here.  A failed op comes back as its
+        result's ``error``, so a caller fails exactly the waiter whose op
         failed.
         """
-        raise NotImplementedError(f"{type(self).__name__} does not execute storage-op groups")
+        try:
+            kind = op.op
+            if kind == "get":
+                key = op.keys[0]
+                return StorageOpResult(values={key: await self.get_async(key)})
+            if kind == "multi_get":
+                return StorageOpResult(values=await self.multi_get_async(list(op.keys)))
+            if kind == "put":
+                for key, value in (op.items or {}).items():
+                    await self.put_async(key, value)
+            elif kind == "multi_put":
+                await self.multi_put_async(op.items or {})
+            elif kind == "delete":
+                for key in op.keys:
+                    await self.delete_async(key)
+            elif kind == "multi_delete":
+                await self.multi_delete_async(list(op.keys))
+            elif kind == "list":
+                return StorageOpResult(keys=await self.list_keys_async(prefix=op.prefix))
+            else:
+                raise StorageError(f"unknown storage op {kind!r}")
+            return StorageOpResult()
+        except Exception as exc:
+            return StorageOpResult(error=exc)
+
+    async def execute_group_async(self, ops: list[StorageOp]) -> list[StorageOpResult]:
+        """Execute an op group in dependency waves; one result per op, in order.
+
+        :func:`run_op_group` over :meth:`apply_op`, each wave issued through
+        :meth:`fan_out`, inside the caller's task: a caller cancelled
+        mid-wave never gets a later wave issued.  Errors come back per op,
+        never raised (see :func:`run_op_group` for the failure rule).
+
+        Each op runs under its own ledger, so the charge accounting does not
+        depend on how the wave's ops interleave; each wave's ledgers merge
+        into the attached ledger as one plan stage, in op order — also when
+        the caller is cancelled, so the charges of ops that ran are kept.
+        """
+        outer = self._ledger
+        if outer is None:
+            return await run_op_group(ops, self.apply_op, self.fan_out)
+
+        async def metered_wave(requests: list[_Request]) -> list[Any]:
+            stage_id = next(_stage_ids)
+            ledgers = [CostLedger() for _ in requests]
+            for ledger in ledgers:
+                ledger._current_stage = stage_id
+            try:
+                return await self.fan_out(
+                    [
+                        functools.partial(self._run_metered, request, ledger)
+                        for request, ledger in zip(requests, ledgers)
+                    ]
+                )
+            finally:
+                for ledger in ledgers:
+                    outer.merge(ledger)
+
+        return await run_op_group(ops, self.apply_op, metered_wave)
+
+    async def _run_metered(self, request: _Request, ledger: CostLedger) -> Any:
+        # ``fan_out`` wraps each request in a task over a wall-clock engine,
+        # and tasks copy the context, so each ``metered`` attachment (a
+        # ContextVar) stays its own.
+        with self.metered(ledger):
+            return await request()
 
     def _stage_ops(self, stage: "IOStage", after: tuple[int, ...]) -> list[StorageOp]:
-        """Descriptor form of :meth:`_stage_groups`: one ``StorageOp`` per group."""
+        """One stage as ops, one per storage request, each linked ``after``.
+
+        The engine's capability hooks (:meth:`_plan_put_groups` /
+        :meth:`_plan_get_groups`) partition the stage into requests: native
+        batches where the engine has them, one point op per key otherwise.
+        """
         ops: list[StorageOp] = []
-        for group in self._plan_put_groups(stage.puts):
-            keys = tuple(group)
-            ops.append(
-                StorageOp(
-                    op="multi_put" if len(keys) > 1 else "put",
-                    keys=keys,
-                    items=dict(group),
-                    after=after,
-                )
-            )
-        for key_group in self._plan_get_groups(stage.gets):
-            ops.append(
-                StorageOp(
-                    op="multi_get" if len(key_group) > 1 else "get",
-                    keys=tuple(key_group),
-                    after=after,
-                )
-            )
+        for items in self._plan_put_groups(stage.puts):
+            kind = "multi_put" if len(items) > 1 else "put"
+            ops.append(StorageOp(op=kind, keys=tuple(items), items=items, after=after))
+        for keys in self._plan_get_groups(stage.gets):
+            kind = "multi_get" if len(keys) > 1 else "get"
+            ops.append(StorageOp(op=kind, keys=tuple(keys), after=after))
         if stage.deletes:
             ops.append(StorageOp(op="multi_delete", keys=tuple(stage.deletes), after=after))
         return ops
-
-    async def _execute_plan_as_group(
-        self, plan: "IOPlan"
-    ) -> list[list[tuple[dict[str, bytes | None] | None, CostLedger]]]:
-        """Run a whole plan as one :meth:`execute_group_async` call.
-
-        For a remote engine that is one wire frame for the whole plan.  The
-        stage barriers travel with it: each op of stage ``k`` is ``after``
-        every op of the last non-empty stage before it, so the executor
-        applies the stages in order and never applies one whose predecessor
-        failed.  Returns per-stage outcomes in :meth:`_collect_stage`'s shape.
-        """
-        ops: list[StorageOp] = []
-        bounds: list[tuple[int, int]] = []
-        after: tuple[int, ...] = ()
-        for stage in plan.stages:
-            start = len(ops)
-            ops.extend(self._stage_ops(stage, after))
-            bounds.append((start, len(ops)))
-            if len(ops) > start:
-                after = tuple(range(start, len(ops)))
-        if not ops:
-            return [[] for _ in bounds]
-        ledger = CostLedger()
-        with self.metered(ledger):
-            results = await self.execute_group_async(ops)
-        # The lowest-indexed failure is a root cause: an op failed for a
-        # prerequisite names one with a lower index.
-        for op_result in results:
-            if op_result.error is not None:
-                raise op_result.error
-        # Every op succeeded, and the engine charged each one once, in op
-        # order: hand each stage its own entries under its own stage tag.
-        entries = iter(ledger.entries)
-        outcomes: list[list[tuple[dict[str, bytes | None] | None, CostLedger]]] = []
-        for start, end in bounds:
-            stage_ledger = CostLedger()
-            stage_id = next(_stage_ids)
-            for entry in itertools.islice(entries, end - start):
-                entry.stage = stage_id
-                stage_ledger.entries.append(entry)
-            values: dict[str, bytes | None] = {}
-            for op_result in results[start:end]:
-                if op_result.values:
-                    values.update(op_result.values)
-            outcomes.append([(values or None, stage_ledger)])
-        return outcomes
 
     # ------------------------------------------------------------------ #
     # IO-plan execution (the batched parallel-IO pipeline)
     # ------------------------------------------------------------------ #
     @property
     def effective_io_concurrency(self) -> int:
-        """Per-stage request-group concurrency bound actually in effect."""
+        """Per-wave request concurrency bound actually in effect."""
         if self.io_concurrency is not None:
             return max(1, self.io_concurrency)
         return runtime.DEFAULT_IO_CONCURRENCY
@@ -479,153 +530,70 @@ class StorageEngine(ABC):
         return runtime.drive(self.execute_plan_async(plan), self)
 
     async def execute_plan_async(self, plan: "IOPlan") -> "PlanResult":
-        """Execute an :class:`~repro.core.io_plan.IOPlan` against this engine.
+        """Execute an :class:`~repro.core.io_plan.IOPlan` as one op group.
 
-        Each stage's operations are partitioned into *request groups* by the
-        engine's capability hooks (:meth:`_plan_put_groups` /
-        :meth:`_plan_get_groups`): a group is one storage request, i.e. one
-        awaited ``*_async`` op.  How a stage's groups are *issued* follows
-        from what the engine declares:
+        Each stage becomes ops (:meth:`_stage_ops`), each op of stage ``k``
+        ``after`` every op of the last non-empty stage before it, and the
+        group runs through :meth:`execute_group_async`.  So the stages apply
+        in order, and no op of a stage is applied unless the whole previous
+        stage succeeded — which is how the commit plan keeps the paper's
+        data-before-commit-record write order (Section 3.3).  Over a remote
+        engine the group is one wire frame, and the storage service it
+        lands on keeps that order.
 
-        * ``supports_storage_batches``: the whole plan ships as one op group
-          (:meth:`execute_group_async`), each stage's ops ``after`` the
-          previous stage's, so the engine (for a remote engine, the storage
-          service the frame lands on) keeps the stages in order.
-        * ``wall_clock_io``: the group coroutines are gathered on the event
-          loop, at most :attr:`effective_io_concurrency` in flight at once.
-        * otherwise (metered engines, the simulated backends): the group
-          coroutines are awaited one after another.  They never suspend —
-          latency is sampled from seeded models, not waited for — so
-          concurrency would buy nothing and would scramble the deterministic
-          sampling order the experiment medians depend on.  The *charged*
-          concurrency is the same either way: every operation lands on the
-          attached :class:`CostLedger` tagged with its stage, and
-          ``ledger.pipelined_latency`` charges the max latency within a
-          stage plus the sum across stages.
-
-        Stages are barriers in every mode — no group of stage ``i+1`` is
-        applied until every group of stage ``i`` succeeded — which is how
-        the commit plan preserves the paper's data-before-commit-record write
-        ordering (Section 3.3).  In the per-stage modes a later stage is only
-        issued after the earlier one returned, so a caller cancelled
-        mid-stage never gets a later stage issued on its behalf.  A grouped
-        plan has left once it is submitted: cancelling the caller no longer
-        recalls its later stages, which still land in order (a commit record
-        still lands only after its data).
+        A metered engine charges each stage as one plan stage on the
+        attached :class:`CostLedger` (``pipelined_latency`` charges the max
+        within a stage plus the sum across stages), and its ops never
+        suspend, so they run one after another in op order and the seeded
+        latency sampling keeps its order.  On failure the lowest-indexed
+        error is raised: an op skipped for a failed prerequisite names one
+        with a lower index.
         """
         from repro.core.io_plan import PlanResult
 
-        outer = self._ledger
-        inner = CostLedger()
         result = PlanResult()
-        try:
-            # One span per plan (not per stage): stage names ride along as an
-            # attribute so IO-plan structure stays visible in traces without
-            # paying span cost per barrier on the hot path.
-            with tr.span(
-                "io.plan",
-                stages=",".join(s.name for s in plan.stages),
-                n_ops=plan.operation_count,
-            ):
-                if self.supports_storage_batches:
-                    for outcomes in await self._execute_plan_as_group(plan):
-                        self._collect_stage(outcomes, inner, result)
-                else:
-                    for stage in plan.stages:
-                        stage_id = next(_stage_ids)
-                        groups = self._stage_groups(stage)
-                        outcomes = await self.fan_out(
-                            [functools.partial(self._run_group, group, stage_id) for group in groups]
-                        )
-                        self._collect_stage(outcomes, inner, result)
-        finally:
-            # Surface the charges of completed groups even when cancelled
-            # mid-plan, so callers can still account for the work that ran.
-            if outer is not None:
-                outer.merge(inner)
+        # One span per plan (not per stage): stage names ride along as an
+        # attribute so IO-plan structure stays visible in traces without
+        # paying span cost per barrier on the hot path.
+        with tr.span(
+            "io.plan",
+            stages=",".join(s.name for s in plan.stages),
+            n_ops=plan.operation_count,
+        ):
+            ops: list[StorageOp] = []
+            after: tuple[int, ...] = ()
+            for stage in plan.stages:
+                start = len(ops)
+                ops.extend(self._stage_ops(stage, after))
+                if len(ops) > start:
+                    after = tuple(range(start, len(ops)))
+            op_results = await self.execute_group_async(ops) if ops else []
+            for op_result in op_results:
+                if op_result.error is not None:
+                    raise op_result.error
+                if op_result.values:
+                    result.values.update(op_result.values)
         self._record_plan_stats(plan)
         return result
 
-    async def fan_out(self, requests: list[Callable[[], Coroutine[Any, Any, Any]]]) -> list[Any]:
+    async def fan_out(self, requests: list[_Request]) -> list[Any]:
         """Issue independent requests the way this engine runs them; results in order.
 
         Over a ``wall_clock_io`` engine they are gathered on the event loop,
-        at most :attr:`effective_io_concurrency` in flight at once; otherwise
-        each is awaited in turn (see :meth:`execute_plan_async` for why).
+        at most :attr:`effective_io_concurrency` in flight at once;
+        otherwise each is awaited in turn: a metered engine's ops never
+        suspend, so concurrency would buy nothing and would scramble the
+        seeded sampling order the experiment medians depend on.
         """
         if not self.wall_clock_io:
             return [await request() for request in requests]
         limit = asyncio.Semaphore(self.effective_io_concurrency)
 
-        async def bounded(request: Callable[[], Coroutine[Any, Any, Any]]) -> Any:
+        async def bounded(request: _Request) -> Any:
             async with limit:
                 return await request()
 
         return list(await asyncio.gather(*(bounded(request) for request in requests)))
-
-    async def _run_group(
-        self, group: _Group, stage_id: int
-    ) -> tuple[dict[str, bytes | None] | None, CostLedger]:
-        """Issue one request group under its own stage-tagged ledger.
-
-        The per-group ledger keeps the charge accounting order-agnostic: the
-        plan executor merges the group ledgers back in group order, so the
-        merged entry sequence is the same whether the groups ran one after
-        another or interleaved.  ``asyncio.gather`` wraps each group in a
-        task, and tasks copy the context at creation, so each group's
-        ``metered`` attachment (a ContextVar) stays its own.
-        """
-        ledger = CostLedger()
-        ledger._current_stage = stage_id
-        with self.metered(ledger):
-            values = await group()
-        return values, ledger
-
-    def _stage_groups(self, stage: "IOStage") -> list[_Group]:
-        """Partition one stage into request groups (one storage request each)."""
-        groups: list[_Group] = []
-        for items in self._plan_put_groups(stage.puts):
-            groups.append(lambda g=items: self._put_group(g))
-        for keys in self._plan_get_groups(stage.gets):
-            groups.append(lambda ks=keys: self._get_group(ks))
-        deletes = stage.deletes
-        if deletes:
-            groups.append(lambda ks=deletes: self.multi_delete_async(ks))
-        return groups
-
-    async def _put_group(self, group: Mapping[str, bytes]) -> None:
-        """Issue one put request (a native batch, or a point write)."""
-        if len(group) > 1:
-            await self.multi_put_async(group)
-        else:
-            for key, value in group.items():
-                await self.put_async(key, value)
-
-    async def _get_group(self, keys: list[str]) -> dict[str, bytes | None]:
-        """Issue one get request (a native batch, or a point read)."""
-        if len(keys) > 1:
-            return await self.multi_get_async(keys)
-        return {keys[0]: await self.get_async(keys[0])}
-
-    def _collect_stage(
-        self,
-        outcomes: list[tuple[dict[str, bytes | None] | None, CostLedger]],
-        inner: CostLedger,
-        result: "PlanResult",
-    ) -> None:
-        """Merge one stage's group outcomes into the plan ledger and result."""
-        stage_latency = 0.0
-        stage_requests = 0
-        for values, ledger in outcomes:
-            if values:
-                result.values.update(values)
-            inner.merge(ledger)
-            stage_requests += len(ledger.entries)
-            stage_latency = max(
-                stage_latency, max((entry.latency for entry in ledger.entries), default=0.0)
-            )
-        result.stage_latencies.append(stage_latency)
-        result.requests_issued += stage_requests
 
     def _record_plan_stats(self, plan: "IOPlan") -> None:
         with self._lock:
@@ -669,5 +637,7 @@ class StorageEngine(ABC):
         """Number of keys currently stored (for tests and GC accounting)."""
         return len(self.list_keys())
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} name={self.name!r} keys={self.size()}>"
+    def __repr__(self) -> str:
+        # No key count: counting lists every key, which is IO on a remote
+        # engine (and raises on the loop a sync facade would block).
+        return f"<{type(self).__name__} name={self.name!r}>"

@@ -10,9 +10,9 @@ sampled latency (``asyncio.sleep``) before every operation, while charging
 simulated-time accounting — exactly what the async-IO benchmark needs to
 measure genuine txn/s scaling (``bench_ablation_async_io``).
 
-The wrapper declares ``wall_clock_io``, so ``execute_plan_async`` gathers its
-request groups as coroutines on the event loop instead of awaiting them in
-order, and sync callers are driven on an event loop.  The wait happens
+The wrapper declares ``wall_clock_io``, so each wave of an op group (an IO
+plan's stage) is gathered as coroutines on the event loop instead of awaited
+in order, and sync callers are driven on an event loop.  The wait happens
 before the inner engine's (instant) operation; the stats counters are
 updated under the wrapper's lock, so they stay exact even under heavy
 fan-out.
@@ -35,8 +35,8 @@ class LatencyInjectedStorage(StorageEngine):
     ----------
     inner:
         The engine that actually stores the data.  Its batching capabilities
-        are mirrored so IO plans partition into the same request groups they
-        would against the inner engine directly.
+        are mirrored so IO plans partition into the same requests they would
+        against the inner engine directly.
     injected:
         Latency model whose samples are *waited*, not charged.  Defaults to a
         constant 1 ms per operation.

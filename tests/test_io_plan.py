@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.clock import LogicalClock
 from repro.config import AftConfig
 from repro.core.io_plan import IOOp, IOPlan
 from repro.core.node import AftNode
-from repro.storage.base import CostLedger
+from repro.errors import StorageError
+from repro.storage.base import CostLedger, StorageOp
 from repro.storage.dynamodb import SimulatedDynamoDB
 from repro.storage.latency import ConstantLatency
+from repro.storage.latency_injected import LatencyInjectedStorage
 from repro.storage.memory import InMemoryStorage
 from repro.storage.rediscluster import SimulatedRedisCluster
 from repro.storage.s3 import SimulatedS3
@@ -105,6 +109,64 @@ class TestThreadLocalMetering:
         assert ledgers["b"].operation_count == 5
 
 
+def _put(key: str, after: tuple[int, ...] = ()) -> StorageOp:
+    return StorageOp(op="put", keys=(key,), items={key: b"v"}, after=after)
+
+
+def _refusing(engine, refused: str):
+    """``engine`` with every write of ``refused`` failing."""
+    put_async = engine.put_async
+
+    async def refuse(key, value):
+        if key == refused:
+            raise StorageError(f"refused {key!r}")
+        await put_async(key, value)
+
+    engine.put_async = refuse
+    return engine
+
+
+class TestInProcessOpGroups:
+    @pytest.mark.parametrize(
+        "make_engine",
+        [
+            InMemoryStorage,
+            lambda: LatencyInjectedStorage(InMemoryStorage(), injected=ConstantLatency(0.001)),
+            SimulatedS3,
+        ],
+        ids=["memory", "latency-injected", "s3"],
+    )
+    def test_a_record_after_failed_data_is_never_written(self, make_engine):
+        engine = _refusing(make_engine(), refused="data")
+
+        async def scenario():
+            results = await engine.execute_group_async([_put("data"), _put("record", after=(0,))])
+            return results, await engine.get_async("record")
+
+        results, record = asyncio.run(scenario())
+        assert all(result.error is not None for result in results)
+        assert record is None
+
+    def test_a_failed_op_does_not_stop_its_wave(self):
+        engine = _refusing(InMemoryStorage(), refused="a")
+        group = [_put("a"), _put("b"), _put("record", after=(0, 1))]
+        results = asyncio.run(engine.execute_group_async(group))
+        assert [result.error is None for result in results] == [False, True, False]
+        assert engine.get("b") == b"v" and engine.get("record") is None
+
+    def test_each_wave_is_charged_as_one_stage(self):
+        engine = InMemoryStorage(latency_model=ConstantLatency(0.01))
+        chained, independent = CostLedger(), CostLedger()
+        with engine.metered(chained):
+            asyncio.run(engine.execute_group_async([_put("a"), _put("b", (0,)), _put("c", (1,))]))
+        with engine.metered(independent):
+            asyncio.run(engine.execute_group_async([_put("a"), _put("b")]))
+        assert chained.plan_stage_count == 3
+        assert chained.pipelined_latency == pytest.approx(0.03)
+        assert independent.plan_stage_count == 1
+        assert independent.pipelined_latency == pytest.approx(0.01)
+
+
 class TestPlanExecution:
     def test_execute_plan_reads_and_writes(self):
         engine = InMemoryStorage()
@@ -115,7 +177,6 @@ class TestPlanExecution:
         result = engine.execute_plan(plan)
         assert result.values == {"a": b"old"}
         assert engine.get("b") == b"new"
-        assert len(result.stage_latencies) == 1
 
     def test_stage_barriers_execute_in_order(self):
         engine = InMemoryStorage()

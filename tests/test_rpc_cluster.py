@@ -49,9 +49,9 @@ from repro.rpc import storage_client
 from repro.rpc.client import AsyncRouterClient
 from repro.rpc.framing import connect
 from repro.rpc.node_server import NodeServer
-from repro.rpc.router import RouterServer, _dependency_waves
+from repro.rpc.router import RouterServer
 from repro.rpc.storage_client import RemoteStorage
-from repro.storage.base import StorageEngine, StorageOp, StorageOpResult
+from repro.storage.base import StorageEngine, StorageOp, StorageOpResult, dependency_waves
 from repro.storage.latency import ConstantLatency
 from repro.storage.latency_injected import LatencyInjectedStorage
 from repro.storage.memory import InMemoryStorage
@@ -528,9 +528,9 @@ class TestOpGroups:
     def test_dependency_waves_follow_the_links(self):
         get, put = StorageOp(op="get", keys=("k",)), StorageOp(op="put", keys=("k",), items={"k": b""})
         ops = [get, replace(put, after=(0,)), get, replace(put, after=(1, 2))]
-        assert _dependency_waves(ops) == [[0, 2], [1], [3]]
+        assert dependency_waves(ops) == [[0, 2], [1], [3]]
         with pytest.raises(AftError):
-            _dependency_waves([replace(get, after=(0,))])
+            dependency_waves([replace(get, after=(0,))])
 
     def test_a_group_rides_one_frame_with_its_links_shifted(self):
         async def scenario():
@@ -544,6 +544,13 @@ class TestOpGroups:
             assert conn.frames == [
                 [StorageOp(op="get", keys=("k",)), data, replace(record, after=(1,))]
             ]
+
+        asyncio.run(scenario())
+
+    def test_repr_does_no_io_on_the_loop(self):
+        async def scenario():
+            storage = RemoteStorage(_RecordingConn(), loop=asyncio.get_running_loop())
+            assert repr(storage) == "<RemoteStorage name='remote'>"
 
         asyncio.run(scenario())
 
@@ -647,7 +654,7 @@ class TestWireNegotiation:
                     await client.put(tx, f"neg:{i}", b"x" * 64)
                     await client.commit_transaction(tx)
                 for node in cluster.nodes:
-                    assert node.storage.supports_storage_batches
+                    assert isinstance(node.storage, RemoteStorage)
                 info = await client.info()
                 # Router-side counters prove ops actually crossed batched.
                 assert set(info.wire) == {"n0", "n1"}
