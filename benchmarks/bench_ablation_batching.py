@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bench_utils import emit, run_once
 
+from repro.config import AftConfig
 from repro.harness.report import format_table
 from repro.simulation.cluster_sim import DeploymentSpec, run_deployment
 from repro.workloads.spec import TransactionSpec, WorkloadSpec
@@ -32,8 +33,7 @@ def run_batching_ablation(requests_per_client: int = 60):
             workload=workload,
             num_clients=8,
             requests_per_client=requests_per_client,
-            batch_commit_writes=batching,
-            enable_data_cache=False,
+            node_config=AftConfig(batch_commit_writes=batching, enable_data_cache=False),
             seed=11,
         )
         results[label] = run_deployment(spec)

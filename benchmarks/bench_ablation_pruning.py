@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bench_utils import emit, run_once
 
+from repro.config import AftConfig
 from repro.harness.report import format_table
 from repro.simulation.cluster_sim import DeploymentSpec, run_deployment
 from repro.workloads.spec import TransactionSpec, WorkloadSpec
@@ -31,7 +32,7 @@ def run_pruning_ablation(requests_per_client: int = 60):
             num_nodes=3,
             num_clients=12,
             requests_per_client=requests_per_client,
-            prune_superseded_broadcasts=prune,
+            node_config=AftConfig(prune_superseded_broadcasts=prune),
             seed=7,
         )
         results[label] = run_deployment(spec)

@@ -32,8 +32,7 @@ from repro.config import AftConfig
 def main() -> None:
     cluster = AftCluster(
         InMemoryStorage(),
-        cluster_config=ClusterConfig(num_nodes=3),
-        node_config=AftConfig(multicast_interval=1.0),
+        cluster_config=ClusterConfig(num_nodes=3, node_config=AftConfig(multicast_interval=1.0)),
     )
     client = repro.connect("inproc://", cluster=cluster)
 

@@ -35,7 +35,7 @@ import asyncio
 import threading
 from urllib.parse import parse_qs, urlsplit
 
-from repro.config import AftConfig, ClusterConfig
+from repro.config import ClusterConfig
 from repro.core.cluster import AftCluster, ClusterClient
 from repro.core.session import TransactionSession
 from repro.errors import AftError
@@ -59,7 +59,6 @@ class AftClient:
         url: str,
         cluster: AftCluster | None = None,
         storage: StorageEngine | None = None,
-        node_config: AftConfig | None = None,
         cluster_config: ClusterConfig | None = None,
     ) -> "AftClient":
         """Open a client for ``url``.
@@ -86,7 +85,6 @@ class AftClient:
                 cluster = AftCluster(
                     storage if storage is not None else InMemoryStorage(),
                     cluster_config=cluster_config,
-                    node_config=node_config,
                 )
             return cls(_InprocBackend(cluster, owns=owns))
         if parts.scheme == "tcp":

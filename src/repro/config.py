@@ -7,7 +7,7 @@ to every node in a cluster, and record it alongside results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
 
@@ -42,17 +42,16 @@ class ObservabilityConfig:
         return replace(self, **overrides)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "trace_dir": self.trace_dir,
-            "metrics_interval": self.metrics_interval,
-            "trace_capacity": self.trace_capacity,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class AftConfig:
-    """Tunables of a single AFT node.
+    """Tunables of a single AFT node — the one place a node setting is set.
+
+    A cluster takes it as :attr:`ClusterConfig.node_config` and a simulated
+    deployment as :attr:`~repro.simulation.cluster_sim.DeploymentSpec.node_config`;
+    neither mirrors any of its fields.
 
     Attributes
     ----------
@@ -77,19 +76,18 @@ class AftConfig:
         charged parallel (per-stage) latency.  Disabling this reproduces the
         original one-operation-at-a-time path with sequential latency — the
         ``bench_ablation_parallel_io`` benchmark compares the two.
-    enable_group_commit:
-        Whether the node coalesces concurrently-committing transactions into
-        a single storage batch through the
-        :class:`~repro.core.group_commit.GroupCommitter`.  One combined
-        two-stage plan persists every transaction's data first and every
-        commit record second, preserving the write-ordering invariant of
-        Section 3.3 across the whole batch.
     group_commit_window:
-        How long, in seconds of real time, an open group-commit batch waits
-        on the event loop for further committers to join before flushing (a
-        batch that fills to ``group_commit_max_txns`` flushes at once).
-        ``0`` makes every single commit a batch of one; ``commit_transactions``
-        coalesces its whole argument either way.
+        Group commit is on exactly when this is positive: the node then
+        coalesces concurrently-committing transactions into one storage batch
+        through the :class:`~repro.core.group_commit.GroupCommitter` (one
+        combined two-stage plan persists every transaction's data first and
+        every commit record second, preserving the write-ordering invariant
+        of Section 3.3 across the whole batch).  The value is how long, in
+        seconds of real time, an open batch waits on the event loop for
+        further committers to join before flushing (a batch that fills to
+        ``group_commit_max_txns`` flushes at once).  ``0`` commits each
+        transaction through its own two-stage plan;
+        ``commit_transactions`` coalesces its whole argument either way.
     group_commit_max_txns:
         Upper bound on the number of transactions coalesced into one
         group-commit flush; arrivals beyond it start the next batch.
@@ -140,7 +138,6 @@ class AftConfig:
     write_buffer_spill_bytes: int | None = None
     batch_commit_writes: bool = True
     enable_io_pipeline: bool = True
-    enable_group_commit: bool = False
     group_commit_window: float = 0.0
     group_commit_max_txns: int = 8
     io_concurrency: int = 16
@@ -168,14 +165,14 @@ class AftConfig:
             raise ValueError("io_concurrency must be >= 1")
         if self.group_commit_window < 0:
             raise ValueError("group_commit_window must be >= 0")
-        if self.enable_group_commit and not self.enable_io_pipeline:
+        if self.group_commit_window > 0 and not self.enable_io_pipeline:
             raise ValueError(
-                "enable_group_commit requires enable_io_pipeline: the group "
+                "group_commit_window > 0 requires enable_io_pipeline: the group "
                 "committer persists batches through IO plans"
             )
-        if self.enable_group_commit and not self.batch_commit_writes:
+        if self.group_commit_window > 0 and not self.batch_commit_writes:
             raise ValueError(
-                "enable_group_commit contradicts batch_commit_writes=False: "
+                "group_commit_window > 0 contradicts batch_commit_writes=False: "
                 "group commit exists to batch commit writes, so the batching "
                 "ablation must run with group commit off"
             )
@@ -186,28 +183,7 @@ class AftConfig:
 
     def as_dict(self) -> dict[str, Any]:
         """Return a plain dict view, convenient for experiment manifests."""
-        return {
-            "enable_data_cache": self.enable_data_cache,
-            "data_cache_capacity_bytes": self.data_cache_capacity_bytes,
-            "write_buffer_spill_bytes": self.write_buffer_spill_bytes,
-            "batch_commit_writes": self.batch_commit_writes,
-            "enable_io_pipeline": self.enable_io_pipeline,
-            "enable_group_commit": self.enable_group_commit,
-            "group_commit_window": self.group_commit_window,
-            "group_commit_max_txns": self.group_commit_max_txns,
-            "io_concurrency": self.io_concurrency,
-            "strict_reads": self.strict_reads,
-            "multicast_interval": self.multicast_interval,
-            "prune_superseded_broadcasts": self.prune_superseded_broadcasts,
-            "gc_interval": self.gc_interval,
-            "global_gc_interval": self.global_gc_interval,
-            "fault_scan_interval": self.fault_scan_interval,
-            "metadata_bootstrap_limit": self.metadata_bootstrap_limit,
-            "transaction_timeout": self.transaction_timeout,
-            "drain_grace_period": self.drain_grace_period,
-            "storage_request_timeout": self.storage_request_timeout,
-            "observability": self.observability.as_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -268,17 +244,7 @@ class AutoscalerPolicy:
         return replace(self, **overrides)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "min_nodes": self.min_nodes,
-            "max_nodes": self.max_nodes,
-            "scale_up_threshold": self.scale_up_threshold,
-            "scale_down_threshold": self.scale_down_threshold,
-            "scale_up_after": self.scale_up_after,
-            "scale_down_after": self.scale_down_after,
-            "cooldown": self.cooldown,
-            "evaluation_interval": self.evaluation_interval,
-            "node_capacity": self.node_capacity,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -340,13 +306,7 @@ class FaultManagerConfig:
         return replace(self, **overrides)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "num_shards": self.num_shards,
-            "hash_ring_replicas": self.hash_ring_replicas,
-            "scan_read_batch": self.scan_read_batch,
-            "max_records_per_scan": self.max_records_per_scan,
-            "watermark_lag": self.watermark_lag,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -426,15 +386,7 @@ class MetadataPlaneConfig:
         return replace(self, **overrides)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "transport": self.transport,
-            "relay_fanout": self.relay_fanout,
-            "membership": self.membership,
-            "lease_duration": self.lease_duration,
-            "heartbeat_interval": self.heartbeat_interval,
-            "keyspace": self.keyspace,
-            "fencing": self.fencing,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -446,7 +398,9 @@ class ClusterConfig:
     sets the virtual-node count per physical node for consistent hashing.
     ``autoscaler`` enables utilization-driven elasticity: standby nodes are
     promoted under load and idle nodes are drained and retired (``None``
-    keeps the cluster at its fixed size).
+    keeps the cluster at its fixed size).  ``node_config`` is the one
+    :class:`AftConfig` every node of the cluster runs, observability
+    included.
     """
 
     num_nodes: int = 1
@@ -457,14 +411,6 @@ class ClusterConfig:
     autoscaler: AutoscalerPolicy | None = None
     fault_manager: FaultManagerConfig = field(default_factory=FaultManagerConfig)
     metadata_plane: MetadataPlaneConfig = field(default_factory=MetadataPlaneConfig)
-    observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
-    extra: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        # Accept a plain mapping for the observability block (deployment
-        # specs, JSON configs), mirroring AftConfig's coercion.
-        if isinstance(self.observability, Mapping):
-            object.__setattr__(self, "observability", ObservabilityConfig(**self.observability))
 
     def with_overrides(self, **overrides: Any) -> "ClusterConfig":
         """Return a copy of this config with the given fields replaced."""

@@ -17,7 +17,6 @@ from repro.core.fault_manager import (
     ScanReport,
     SeenDigest,
 )
-from repro.core.fault_manager_reference import ReferenceFaultManager
 from repro.core.garbage_collector import GlobalDataGC, LocalMetadataGC
 from repro.core.group_commit import GroupCommitter, GroupCommitStats, PendingCommit
 from repro.core.io_plan import IOOp, IOPlan, IOStage, PlanResult
@@ -105,7 +104,6 @@ __all__ = [
     "SeenDigest",
     "ScanReport",
     "RecoveryReport",
-    "ReferenceFaultManager",
     "LocalMetadataGC",
     "GlobalDataGC",
     "HashRing",

@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.clock import Clock, SystemClock
-from repro.config import AftConfig, ClusterConfig
+from repro.config import ClusterConfig
 from repro.core.autoscaler import Autoscaler
 from repro.core.commit_set import CommitSetStore
 from repro.core.fault_manager import FaultManager
@@ -70,17 +70,15 @@ class AftCluster:
         storage: StorageEngine,
         commit_storage: StorageEngine | None = None,
         cluster_config: ClusterConfig | None = None,
-        node_config: AftConfig | None = None,
         clock: Clock | None = None,
         load_balancer: LoadBalancer | None = None,
     ) -> None:
         self.cluster_config = cluster_config if cluster_config is not None else ClusterConfig()
-        self.node_config = node_config if node_config is not None else self.cluster_config.node_config
+        self.node_config = self.cluster_config.node_config
         self.storage = storage
         self.clock = clock if clock is not None else SystemClock()
-        # In-process observability: either config block may switch the
-        # process tracer on (enable-only; see apply_config).
-        tr.apply_config(self.cluster_config.observability)
+        # In-process observability: the node config may switch the process
+        # tracer on (enable-only; see apply_config).
         tr.apply_config(self.node_config.observability)
 
         # The metadata plane: commit-record keyspace, commit-stream

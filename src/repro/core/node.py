@@ -174,8 +174,8 @@ class AftNode:
         if self.commit_store.engine is not storage:
             self.commit_store.engine.io_concurrency = self.config.io_concurrency
         # The committer exists unconditionally (the explicit
-        # ``commit_transactions`` batch API always routes through it);
-        # ``enable_group_commit`` only controls whether single commits do.
+        # ``commit_transactions`` batch API always routes through it); a
+        # positive ``group_commit_window`` routes single commits through it too.
         self.group_committer = GroupCommitter(
             storage=storage,
             commit_store=self.commit_store,
@@ -380,8 +380,7 @@ class AftNode:
         event loop even over a metered engine; everything else follows the
         engine (see :func:`repro.runtime.drive`).
         """
-        windowed = self.config.enable_group_commit and self.config.group_commit_window > 0
-        return runtime.drive(coro, self.storage, needs_loop=windowed)
+        return runtime.drive(coro, self.storage, needs_loop=self.config.group_commit_window > 0)
 
     def put(self, txid: str, key: str, value: bytes | str) -> None:
         """Sync facade: drive :meth:`put_async` to completion."""
@@ -630,8 +629,8 @@ class AftNode:
 
         With ``enable_io_pipeline`` the two steps run as one two-stage
         :class:`~repro.core.io_plan.IOPlan` (data fanned out in parallel,
-        then the record); with ``enable_group_commit`` concurrent callers are
-        additionally coalesced into a shared batch by the
+        then the record); with a positive ``group_commit_window`` concurrent
+        callers are additionally coalesced into a shared batch by the
         :class:`~repro.core.group_commit.GroupCommitter`.  If the caller is
         cancelled (a client timeout) mid-persist, the transaction is either
         not committed — its spilled/partial data is unreferenced garbage for
@@ -649,13 +648,9 @@ class AftNode:
             return prepared.already_committed
 
         if prepared.record is not None:
-            with tr.span(
-                "aft.commit.persist",
-                txid=txid,
-                n_keys=len(prepared.to_persist),
-                group=self.config.enable_group_commit,
-            ):
-                if self.config.enable_group_commit:
+            grouped = self.config.group_commit_window > 0
+            with tr.span("aft.commit.persist", txid=txid, n_keys=len(prepared.to_persist), group=grouped):
+                if grouped:
                     await self.group_committer.commit(
                         PendingCommit(txid=txid, record=prepared.record, data=prepared.to_persist)
                     )

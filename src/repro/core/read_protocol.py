@@ -49,7 +49,6 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
-from repro.core import read_protocol_reference as _reference
 from repro.ids import TransactionId
 
 
@@ -351,12 +350,10 @@ def compute_lower_bound(
 ) -> TransactionId | None:
     """Lines 3-5 of Algorithm 1: the oldest version of ``key`` we may return.
 
-    Digest-carrying read sets answer in O(1); plain mappings fall back to the
-    reference scan.
+    Digest-carrying read sets answer in O(1); plain mappings are wrapped per
+    call.
     """
-    if isinstance(read_set, (TrackedReadSet, ReadSetOverlay)):
-        return read_set.lower_bound(key)
-    return _reference.compute_lower_bound(key, read_set, cache)
+    return _as_digest(read_set, cache).lower_bound(key)
 
 
 def candidate_is_valid(
@@ -370,12 +367,11 @@ def candidate_is_valid(
     already read at an older version ``l_j`` (``j < t``): returning ``k_t``
     would make the earlier read of ``l`` fractured.
     """
-    if isinstance(read_set, (TrackedReadSet, ReadSetOverlay)):
-        observed = read_set.candidate_min(candidate, cache.cowritten(candidate))
-        if observed is not None and observed[0] < candidate:
-            return False, observed[1]
-        return True, None
-    return _reference.candidate_is_valid(candidate, read_set, cache)
+    cowritten = cache.cowritten(candidate)
+    observed = _as_digest(read_set, cache).candidate_min(candidate, cowritten)
+    if observed is not None and observed[0] < candidate:
+        return False, observed[1]
+    return True, None
 
 
 def atomic_read(

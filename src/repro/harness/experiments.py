@@ -181,8 +181,7 @@ def run_end_to_end_experiment(
             requests_per_client=requests_per_client,
             # Figure 3 measures the base shim; the read cache is evaluated
             # separately in Figure 4.
-            enable_data_cache=False,
-            enable_io_pipeline=enable_io_pipeline,
+            node_config=AftConfig(enable_data_cache=False, enable_io_pipeline=enable_io_pipeline),
             seed=seed,
         )
         result = run_deployment(spec)
@@ -239,8 +238,8 @@ def run_group_commit_window_sweep(
 ) -> list[dict]:
     """Sweep the simulated-time group-commit window on one AFT deployment.
 
-    Window 0 is the degenerate case (the committer runs but the event loop
-    produces batches of one); positive windows coalesce through the
+    Window 0 commits every transaction on its own (a mean batch size of 1);
+    positive windows coalesce through the
     :class:`~repro.simulation.cluster_sim.SimGroupCommitGate`, trading up to
     one window of added commit latency for shared storage flushes.  The
     figure benchmarks attach this sweep so the latency/batching trade-off is
@@ -254,9 +253,7 @@ def run_group_commit_window_sweep(
             workload=_anomaly_workload(),
             num_clients=num_clients,
             requests_per_client=requests_per_client,
-            enable_data_cache=False,
-            enable_group_commit=True,
-            group_commit_window=window_ms / 1000.0,
+            node_config=AftConfig(enable_data_cache=False, group_commit_window=window_ms / 1000.0),
             seed=seed,
         )
         result = run_deployment(spec)
@@ -315,8 +312,7 @@ def run_caching_skew_experiment(
                 workload=workload,
                 num_clients=num_clients,
                 requests_per_client=requests_per_client,
-                enable_data_cache=caching,
-                data_cache_capacity_bytes=cache_capacity,
+                node_config=AftConfig(enable_data_cache=caching, data_cache_capacity_bytes=cache_capacity),
                 seed=seed,
             )
             result = run_deployment(spec)
@@ -464,7 +460,7 @@ def run_single_node_scalability_experiment(
                 num_nodes=1,
                 num_clients=clients,
                 requests_per_client=requests_per_client,
-                enable_io_pipeline=enable_io_pipeline,
+                node_config=AftConfig(enable_io_pipeline=enable_io_pipeline),
                 seed=seed,
             )
             result = run_deployment(spec)

@@ -99,6 +99,9 @@ class InprocTarget:
         self.storage = TornWriteStorage(InMemoryStorage(), mode=self.torn_mode)
         config = ClusterConfig(
             num_nodes=self.num_nodes,
+            node_config=AftConfig(
+                multicast_interval=self.MULTICAST_EVERY, fault_scan_interval=self.SCAN_EVERY
+            ),
             standby_nodes=2,
             fault_manager=FaultManagerConfig(num_shards=2),
             metadata_plane=MetadataPlaneConfig(
@@ -114,7 +117,6 @@ class InprocTarget:
         self.cluster = AftCluster(
             storage=self.storage,
             cluster_config=config,
-            node_config=AftConfig(multicast_interval=self.MULTICAST_EVERY, fault_scan_interval=self.SCAN_EVERY),
             clock=self.clock,
         )
         self.cluster.multicast.stream.reroute_orphans = self.reroute_orphans

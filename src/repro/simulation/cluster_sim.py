@@ -24,7 +24,6 @@ from repro.config import (
     AutoscalerPolicy,
     ClusterConfig,
     MetadataPlaneConfig,
-    ObservabilityConfig,
 )
 from repro.core.autoscaler import SCALE_DOWN, SCALE_UP
 from repro.consistency.checker import AnomalyCounts
@@ -114,14 +113,16 @@ class SimGroupCommitGate:
     The node-level :class:`~repro.core.group_commit.GroupCommitter` window
     waits in *wall-clock* time, which the single-threaded simulator can
     never profit from — commits arrive one kernel callback at a time, so
-    ``enable_group_commit`` degenerated to batches of one.  This gate
-    implements the window in *virtual* time instead: the first transaction
-    to reach commit opens a batch and schedules a flush ``window``
-    sim-seconds later; transactions committing within the window join the
-    batch (bounded by ``max_txns`` — later arrivals open the next batch);
-    the flush persists every member through
-    :meth:`~repro.core.node.AftNode.commit_transactions` (one combined
-    two-stage plan, write ordering preserved batch-wide) and wakes them all.
+    it would only ever flush batches of one.  This gate implements the
+    window in *virtual* time instead (``run_deployment`` takes ``window``
+    from ``node_config.group_commit_window`` and runs the nodes with their
+    own window at 0): the first transaction to reach commit opens a batch
+    and schedules a flush ``window`` sim-seconds later; transactions
+    committing within the window join the batch (bounded by ``max_txns`` —
+    later arrivals open the next batch); the flush persists every member
+    through :meth:`~repro.core.node.AftNode.commit_transactions` (one
+    combined two-stage plan, write ordering preserved batch-wide) and wakes
+    them all.
 
     Each member's latency includes its share of the window wait plus the
     batch's one pipelined storage charge — ``n`` commits cost two storage
@@ -240,7 +241,12 @@ class FailureScript:
 
 @dataclass
 class DeploymentSpec:
-    """Declarative description of one simulated experiment configuration."""
+    """Declarative description of one simulated experiment configuration.
+
+    The spec describes the deployment around the nodes (topology, routing,
+    clients, storage, failures); every node setting lives on ``node_config``
+    and on nothing else here.
+    """
 
     mode: str = "aft"  # "aft" | "plain" | "dynamo_txn"
     backend: str = "dynamodb"
@@ -263,36 +269,7 @@ class DeploymentSpec:
     num_clients: int = 10
     requests_per_client: int | None = 100
     duration: float | None = None
-    enable_data_cache: bool = True
-    data_cache_capacity_bytes: int = 64 * 1024 * 1024
     enable_gc: bool = True
-    batch_commit_writes: bool = True
-    #: Route node-side storage traffic through the IO-plan pipeline (parallel
-    #: per-stage latency); off reproduces the sequential one-op-at-a-time path.
-    enable_io_pipeline: bool = True
-    #: Coalesce concurrent commits on a node into shared storage batches.
-    #: With ``group_commit_window > 0`` the coalescing happens in *simulated*
-    #: time through :class:`SimGroupCommitGate`: transactions reaching commit
-    #: within the window share one combined two-stage flush.  With a zero
-    #: window the node-level committer still runs but the single-threaded
-    #: event loop produces batches of one.
-    enable_group_commit: bool = False
-    #: Simulated-time coalescing window (seconds); 0 disables the gate.
-    group_commit_window: float = 0.0
-    group_commit_max_txns: int = 8
-    prune_superseded_broadcasts: bool = True
-    #: Per-stage IO fan-out bound applied to the nodes' engines
-    #: (:attr:`~repro.config.AftConfig.io_concurrency`).  Simulated engines
-    #: are metered, not wall-clock, so this does not change medians — it is
-    #: threaded through so a spec describes a real deployment faithfully.
-    #: ``None`` keeps the AftConfig default.
-    io_concurrency: int | None = None
-    #: Per-op storage round-trip timeout for distributed deployments
-    #: (:attr:`~repro.config.AftConfig.storage_request_timeout`).  Simulated
-    #: engines never time out — the knob is threaded through so a spec
-    #: describes a real router-fronted deployment faithfully.  ``None``
-    #: keeps the AftConfig default.
-    storage_request_timeout: float | None = None
     #: Metadata-plane strategies — the commit-stream transport ("direct" |
     #: "sharded"), the failure detector ("polling" | "lease"), and the
     #: commit-record keyspace ("flat" | "partitioned") — selected by one
@@ -301,12 +278,11 @@ class DeploymentSpec:
     #: config reproduces the seed; it validates itself at construction.
     metadata_plane: MetadataPlaneConfig = field(default_factory=MetadataPlaneConfig)
     cost_model: DeploymentCostModel = field(default_factory=DeploymentCostModel)
-    node_config: AftConfig | None = None
-    #: Observability plane for the described deployment (tracing + metrics).
-    #: Threaded onto the node config like ``io_concurrency``: the simulator
-    #: itself only enables in-process tracing, but a spec round-trips to a
-    #: real deployment's ``--trace-dir`` / ``--metrics-interval`` faithfully.
-    observability: ObservabilityConfig = field(default_factory=ObservabilityConfig)
+    #: The one config every node of the deployment runs (data cache, commit
+    #: batching, IO pipeline, group commit, pruning, observability, ...).
+    #: A positive ``group_commit_window`` engages the simulated-time
+    #: :class:`SimGroupCommitGate` instead of the node's wall-clock window.
+    node_config: AftConfig = field(default_factory=AftConfig)
     preload: bool = True
     seed: int = 0
     failure_script: FailureScript | None = None
@@ -335,19 +311,6 @@ class DeploymentSpec:
             raise ValueError("an offered-load curve needs a duration-bounded run")
         if self.mode == "dynamo_txn" and self.backend not in ("dynamodb", "dynamo"):
             raise ValueError("dynamo_txn mode requires the dynamodb backend")
-        # A full node_config bypasses the per-field spec knobs; fold its
-        # window into the same gate-eligibility check.
-        window = self.group_commit_window
-        enabled = self.enable_group_commit
-        if self.node_config is not None:
-            window = max(window, self.node_config.group_commit_window)
-            enabled = enabled or self.node_config.enable_group_commit
-        if window > 0 and not enabled:
-            raise ValueError(
-                "group_commit_window > 0 requires enable_group_commit: the "
-                "simulated-time coalescing gate only exists on the group-commit "
-                "path"
-            )
 
 
 @dataclass
@@ -461,41 +424,15 @@ def run_deployment(spec: DeploymentSpec) -> DeploymentResult:
 
     storage = make_storage(spec.backend, clock, seed=spec.seed)
 
-    node_config = spec.node_config
-    if node_config is None:
-        node_config = AftConfig(
-            enable_data_cache=spec.enable_data_cache,
-            data_cache_capacity_bytes=spec.data_cache_capacity_bytes,
-            batch_commit_writes=spec.batch_commit_writes,
-            enable_io_pipeline=spec.enable_io_pipeline,
-            enable_group_commit=spec.enable_group_commit,
-            group_commit_window=spec.group_commit_window,
-            group_commit_max_txns=spec.group_commit_max_txns,
-            prune_superseded_broadcasts=spec.prune_superseded_broadcasts,
-            io_concurrency=(
-                spec.io_concurrency if spec.io_concurrency is not None else AftConfig.io_concurrency
-            ),
-            storage_request_timeout=(
-                spec.storage_request_timeout
-                if spec.storage_request_timeout is not None
-                else AftConfig.storage_request_timeout
-            ),
-            observability=spec.observability,
-        )
-    elif spec.observability.enabled and not node_config.observability.enabled:
-        node_config = node_config.with_overrides(observability=spec.observability)
     # The coalescing window runs in *simulated* time through the per-node
     # SimGroupCommitGate; the node-level committer's own (wall-clock) window
     # must stay 0 or the flush would sleep real seconds inside a kernel
-    # callback.  Enablement and window fold the spec and node_config knobs
-    # exactly as __post_init__'s validation does, so an accepted window is
-    # never silently ignored (the gate batches through commit_transactions,
-    # which coalesces regardless of the node-level flag).
-    sim_group_window = 0.0
-    if spec.enable_group_commit or node_config.enable_group_commit:
-        sim_group_window = max(spec.group_commit_window, node_config.group_commit_window)
-        if node_config.group_commit_window > 0:
-            node_config = node_config.with_overrides(group_commit_window=0.0)
+    # callback.  The gate batches through commit_transactions, which always
+    # goes through the committer.
+    node_config = spec.node_config
+    sim_group_window = node_config.group_commit_window
+    if sim_group_window > 0:
+        node_config = node_config.with_overrides(group_commit_window=0.0)
 
     cluster: AftCluster | None = None
     dynamo_client: DynamoTransactionClient | None = None
@@ -547,7 +484,6 @@ def run_deployment(spec: DeploymentSpec) -> DeploymentResult:
                 autoscaler=spec.autoscaler,
                 metadata_plane=spec.metadata_plane,
             ),
-            node_config=node_config,
             clock=clock,
         )
         for node in cluster.nodes:

@@ -46,7 +46,6 @@ FACADE_CONFIGS = {
     "spill": {"write_buffer_spill_bytes": 10},
     "pipeline-off": {"enable_io_pipeline": False},
     "batching-off": {"batch_commit_writes": False},
-    "group-commit": {"enable_group_commit": True},
 }
 
 
@@ -130,8 +129,6 @@ class TestSyncFacadeMatrix:
             shapes[name] = self.entries(ledger)
         assert shapes["spill"] != shapes["default"]
         assert shapes["batching-off"] != shapes["default"]
-        assert shapes["group-commit"] == shapes["default"]
-        assert node.stats.group_commits == 1
 
     def test_execute_commit_plan_facade_keeps_the_stage_order(self):
         engine = SimulatedS3(latency_model=ConstantLatency(0.004), seed=3)
@@ -285,7 +282,6 @@ class TestAsyncGroupCommit:
         node = AftNode(
             InMemoryStorage(),
             config=AftConfig(
-                enable_group_commit=True,
                 group_commit_window=0.005,
                 group_commit_max_txns=8,
             ),

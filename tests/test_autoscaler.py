@@ -43,7 +43,6 @@ def cluster():
     return AftCluster(
         InMemoryStorage(),
         cluster_config=ClusterConfig(num_nodes=3, standby_nodes=1, balancer="consistent_hash"),
-        node_config=AftConfig(),
         clock=LogicalClock(start=0.0, auto_step=0.001),
     )
 

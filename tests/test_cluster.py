@@ -18,7 +18,6 @@ def cluster():
     return AftCluster(
         InMemoryStorage(),
         cluster_config=ClusterConfig(num_nodes=3),
-        node_config=AftConfig(),
         clock=LogicalClock(start=0.0, auto_step=0.001),
     )
 
@@ -198,12 +197,14 @@ class TestBackgroundThreads:
     def test_background_threads_start_and_stop(self):
         cluster = AftCluster(
             InMemoryStorage(),
-            cluster_config=ClusterConfig(num_nodes=1),
-            node_config=AftConfig(
-                multicast_interval=0.01,
-                gc_interval=0.01,
-                global_gc_interval=0.01,
-                fault_scan_interval=0.01,
+            cluster_config=ClusterConfig(
+                num_nodes=1,
+                node_config=AftConfig(
+                    multicast_interval=0.01,
+                    gc_interval=0.01,
+                    global_gc_interval=0.01,
+                    fault_scan_interval=0.01,
+                ),
             ),
         )
         client = cluster.client()

@@ -2,7 +2,23 @@
 
 from __future__ import annotations
 
-from repro.config import AftConfig, ClusterConfig, DEFAULT_CONFIG
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.client import AftClient
+from repro.config import (
+    DEFAULT_CONFIG,
+    AftConfig,
+    AutoscalerPolicy,
+    ClusterConfig,
+    FaultManagerConfig,
+    MetadataPlaneConfig,
+    ObservabilityConfig,
+)
+from repro.core.cluster import AftCluster
+from repro.simulation.cluster_sim import DeploymentSpec
 
 
 class TestAftConfig:
@@ -42,3 +58,36 @@ class TestClusterConfig:
         config = ClusterConfig().with_overrides(num_nodes=5, standby_nodes=2)
         assert config.num_nodes == 5
         assert config.standby_nodes == 2
+
+
+def _field_names(cls) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ObservabilityConfig(enabled=True, metrics_interval=2.0),
+        AftConfig(group_commit_window=0.01, observability=ObservabilityConfig(trace_dir="t")),
+        AutoscalerPolicy(max_nodes=4),
+        FaultManagerConfig(max_records_per_scan=7),
+        MetadataPlaneConfig(membership="lease", fencing=True),
+    ],
+    ids=lambda config: type(config).__name__,
+)
+def test_as_dict_lists_every_field_once_and_round_trips(config):
+    data = config.as_dict()
+    assert list(data) == _field_names(type(config))
+    assert type(config)(**data) == config
+
+
+class TestOneHomePerNodeSetting:
+    """A node setting is set on AftConfig and reaches the node by one route."""
+
+    def test_deployment_spec_mirrors_no_node_setting(self):
+        assert not set(_field_names(DeploymentSpec)) & set(_field_names(AftConfig))
+
+    def test_cluster_and_client_take_the_node_config_only_through_cluster_config(self):
+        assert "node_config" not in inspect.signature(AftCluster.__init__).parameters
+        assert "node_config" not in inspect.signature(AftClient.connect).parameters
+        assert not {"observability", "extra"} & set(_field_names(ClusterConfig))

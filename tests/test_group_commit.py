@@ -250,7 +250,6 @@ class TestConcurrentCoalescing:
     def test_concurrent_commits_share_flushes(self):
         node = make_node(
             InMemoryStorage(),
-            enable_group_commit=True,
             group_commit_window=0.2,
             group_commit_max_txns=8,
         )
@@ -282,13 +281,6 @@ class TestConcurrentCoalescing:
         for i in range(6):
             assert node.get(reader, f"t{i}") == b"v"
 
-    def test_single_commit_degenerates_to_batch_of_one(self):
-        node = make_node(InMemoryStorage(), enable_group_commit=True)
-        txid = open_txn(node, {"k": b"v"})
-        node.commit_transaction(txid)
-        assert node.stats.group_commits == 1
-        assert node.stats.group_commit_batched_txns == 1
-
 
 class TestFullBatchFlushesEarly:
     """A batch that reaches ``group_commit_max_txns`` does not wait out the window."""
@@ -298,7 +290,6 @@ class TestFullBatchFlushesEarly:
     def full_batch_node(self) -> tuple[AftNode, list[str]]:
         node = make_node(
             InMemoryStorage(),
-            enable_group_commit=True,
             group_commit_window=self.WINDOW,
             group_commit_max_txns=4,
         )
@@ -338,7 +329,6 @@ class TestFullBatchFlushesEarly:
     def test_a_cancelled_member_does_not_cancel_the_others(self):
         node = make_node(
             InMemoryStorage(),
-            enable_group_commit=True,
             group_commit_window=0.05,
             group_commit_max_txns=8,
         )
@@ -356,23 +346,11 @@ class TestFullBatchFlushesEarly:
 
 
 class TestSimulatorGuards:
-    def test_deployment_spec_rejects_wall_clock_window(self):
-        from repro.simulation.cluster_sim import DeploymentSpec
-
-        with pytest.raises(ValueError):
-            DeploymentSpec(mode="aft", group_commit_window=0.1)
-        # The same constraint applies when a full node_config bypasses the
-        # per-field knobs.
-        with pytest.raises(ValueError):
-            DeploymentSpec(mode="aft", node_config=AftConfig(group_commit_window=0.1))
-        # window=0 (still coalesces queued commits) is fine.
-        DeploymentSpec(mode="aft", enable_group_commit=True)
-
     def test_config_rejects_contradictory_group_commit_combinations(self):
         with pytest.raises(ValueError):
-            AftConfig(enable_group_commit=True, enable_io_pipeline=False)
+            AftConfig(group_commit_window=0.01, enable_io_pipeline=False)
         with pytest.raises(ValueError):
-            AftConfig(enable_group_commit=True, batch_commit_writes=False)
+            AftConfig(group_commit_window=0.01, batch_commit_writes=False)
         with pytest.raises(ValueError):
             AftConfig(group_commit_max_txns=0)
         with pytest.raises(ValueError):

@@ -348,14 +348,15 @@ class TestInprocessPropagation:
     def _observed_cluster(self, **node_overrides) -> AftCluster:
         return AftCluster(
             InMemoryStorage(),
-            cluster_config=ClusterConfig(num_nodes=2, observability={"enabled": True}),
-            node_config=AftConfig(**node_overrides),
+            cluster_config=ClusterConfig(
+                num_nodes=2, node_config=AftConfig(observability={"enabled": True}, **node_overrides)
+            ),
         )
 
     def test_mapping_observability_block_is_coerced(self):
         cluster = self._observed_cluster()
-        assert isinstance(cluster.cluster_config.observability, ObservabilityConfig)
-        assert cluster.cluster_config.observability.enabled
+        assert isinstance(cluster.node_config.observability, ObservabilityConfig)
+        assert cluster.node_config.observability.enabled
         cluster.shutdown()
 
     def test_sync_txn_is_one_connected_tree(self):
@@ -376,7 +377,7 @@ class TestInprocessPropagation:
         assert "io.plan" in names
 
     def test_group_commit_flush_joins_the_txn_trace(self):
-        cluster = self._observed_cluster(enable_group_commit=True)
+        cluster = self._observed_cluster(group_commit_window=0.001)
         client = cluster.client()
         try:
             tr.tracer().clear()
@@ -433,7 +434,7 @@ class TestSocketClusterTrace:
                     node = NodeServer(
                         f"n{i}",
                         router_port=router.port,
-                        config=AftConfig(enable_group_commit=True),
+                        config=AftConfig(group_commit_window=0.001),
                     )
                     await node.start()
                     nodes.append(node)
